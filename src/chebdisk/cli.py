@@ -35,10 +35,11 @@ _EXIT_INPUT = 2
 
 
 class CommandResult:
-    def __init__(self, status, payload, exit_code):
+    def __init__(self, status, payload, exit_code, fmt):
         self.status = status
         self.payload = payload
         self.exit_code = exit_code
+        self.fmt = fmt
 
 
 def parse_complex(text):
@@ -480,19 +481,25 @@ def run(argv):
     """Execute one invocation; returns a CommandResult without printing."""
     argv = list(argv)
     # `landen --id ... --tau-im ...` sugar for `landen verify ...`
-    if argv and argv[0] == "landen" and len(argv) > 1 and argv[1].startswith("--"):
-        argv.insert(1, "verify")
+    cmd = 2 if argv[:1] == ["--format"] else 0
+    if argv[cmd : cmd + 1] == ["landen"] and len(argv) > cmd + 1 and (
+        argv[cmd + 1].startswith("--")
+    ):
+        argv.insert(cmd + 1, "verify")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         payload, exit_code = args.handler(args)
     except ChebdiskError as exc:
+        payload = {"error": str(exc)}
+        if isinstance(exc, PrecisionError) and exc.degraded:
+            payload["degraded"] = True
         for types, status, code in _STATUS_BY_ERROR:
             if isinstance(exc, types):
-                return CommandResult(status, {"error": str(exc)}, code)
-        return CommandResult("domain_error", {"error": str(exc)}, _EXIT_INPUT)
+                return CommandResult(status, payload, code, args.format)
+        return CommandResult("domain_error", payload, _EXIT_INPUT, args.format)
     status = "ok" if exit_code == _EXIT_OK else "verification_failure"
-    return CommandResult(status, payload, exit_code)
+    return CommandResult(status, payload, exit_code, args.format)
 
 
 def render(result, fmt):
@@ -506,15 +513,8 @@ def render(result, fmt):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    fmt = "json"
-    if "--format" in argv:
-        idx = argv.index("--format")
-        if idx + 1 < len(argv):
-            fmt = argv[idx + 1]
-            del argv[idx : idx + 2]
-    result = run(argv)
-    sys.stdout.write(render(result, fmt))
+    result = run(sys.argv[1:] if argv is None else argv)
+    sys.stdout.write(render(result, result.fmt))
     return result.exit_code
 
 

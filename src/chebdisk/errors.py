@@ -34,7 +34,7 @@ class NoCriticalValues(ChebdiskError):
 
 
 class RootFindingError(ChebdiskError):
-    """Critical-point search produced an inconsistent value set."""
+    """A critical value missed +-sqrt(k(n tau)) beyond its relative tolerance."""
 
 
 class NotTransitiveError(ChebdiskError):

@@ -69,13 +69,16 @@ def complete_elliptic_k(k):
     return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
 
 
+def _ring_modulus(t, t_complement):
+    # K(t') / (4 K(t)) with K(t') = pi / (2 agm(1, t)), K(t) = pi / (2 agm(1, t'))
+    return _agm(1.0, t_complement) / (4.0 * _agm(1.0, t))
+
+
 def grotzsch_modulus(t):
     """Modulus of the disk slit along [0, t]: K(sqrt(1-t^2)) / (4 K(t))."""
     if not 0.0 < t < 1.0:
         raise DomainError(f"slit length must be in (0,1), got {t}")
-    # K(k') = pi / (2 agm(1, t)); K(t) = pi / (2 agm(1, t'))
-    tp = math.sqrt((1.0 - t) * (1.0 + t))
-    return _agm(1.0, tp) / (4.0 * _agm(1.0, t))
+    return _ring_modulus(t, math.sqrt((1.0 - t) * (1.0 + t)))
 
 
 def disk_minus_geodesic_modulus(seg):
@@ -107,8 +110,14 @@ def dessin_size(cb):
     if not cb.tau.on_imaginary_axis:
         raise DomainError("dessin size requires tau on the imaginary axis")
     ntau = cb.tau.scaled(cb.n)
-    s = (theta(2, 0.0, ntau, cb.cfg) / theta(3, 0.0, ntau, cb.cfg)).real
-    M = disk_minus_geodesic_modulus(GeodesicSegment(-s, s))
+    t0, t2, t3 = (theta(j, 0.0, ntau, cb.cfg).real for j in (0, 2, 3))
+    sk = t2 / t3
+    k = sk * sk
+    k_comp = (t0 / t3) ** 2
+    # The geodesic between +-sqrt(k) moves to a radial slit of length
+    # 2 sqrt(k)/(1+k); its complementary length (1-k)/(1+k) is taken as
+    # k'^2/(1+k)^2, which does not cancel as k -> 1.
+    M = _ring_modulus(2.0 * sk / (1.0 + k), (k_comp / (1.0 + k)) ** 2)
     size = covering_modulus(M, cb.n)
     expected = cb.tau.value.imag / 4.0
     if abs(size - expected) > 1e-8:

@@ -17,7 +17,6 @@ import json
 import math
 
 import mpmath as mp
-import numpy as np
 
 from . import _mpkernel
 from .errors import (
@@ -29,8 +28,7 @@ from .errors import (
 )
 from .theta import DEFAULT_CONFIG, UpperHalfPoint, theta
 
-_DEDUP_TOL = 1e-8
-_CRITICAL_MATCH_TOL = 1e-7
+_CRITICAL_MATCH_TOL = 1e-7  # relative to sqrt(k(n tau))
 _PIVOT_FLOOR = 1e-12
 
 
@@ -312,25 +310,6 @@ def recurrence_step(n, i, lower, generators):
     return -(coef * f(i) + i * (i - 1) ** 2 * (i - 2) * f(i - 2) - cubic * triple)
 
 
-def derivative_at_zero_closed(n, tau, i, cfg=DEFAULT_CONFIG):
-    """Closed-form f^{(i)}(0) for 0 <= i <= 5."""
-    if not 0 <= i <= 5:
-        raise DomainError(f"closed forms cover orders 0..5, got {i}")
-    if n == 1:
-        # f = z: only the first derivative survives.
-        return 1.0 + 0j if i == 1 else 0j
-    vals = closed_derivatives(n, field_generators(n, tau, cfg))
-    return complex(vals[i])
-
-
-def derivative_at_zero_recurrence(n, tau, i, lower, cfg=DEFAULT_CONFIG):
-    """f^{(i+2)}(0) from the recurrence, in double precision."""
-    if n == 1:
-        return 0j
-    gens = field_generators(n, tau, cfg)
-    return complex(recurrence_step(n, i, lower, gens))
-
-
 def derivatives_at_zero(n, tau, top, cfg=DEFAULT_CONFIG):
     """f^{(i)}(0) for i = 0..top via closed forms then the recurrence."""
     if n == 1:
@@ -481,66 +460,31 @@ def coefficients_from_longdivision(n, tau, dps=_mpkernel.DEFAULT_DPS):
 # critical values
 # ---------------------------------------------------------------------------
 
-def _rational_coefficient_arrays(cb):
-    """Descending-order numerator/denominator arrays of the rational form."""
-    num = np.array([1.0])
-    den = np.array([1.0])
-    for bi in cb.b:
-        num = np.polymul(num, [1.0, 0.0, -bi])
-        den = np.polymul(den, [-bi, 0.0, 1.0])
-    if cb.parity:
-        num = np.polymul(num, [1.0, 0.0])
-    return num, den
-
-
 def critical_values(cb):
     """The distinct critical values of f inside the unit disk.
 
-    Roots of the derivative numerator come from the companion matrix and
-    are polished by Newton iteration.  For n >= 3 both of +-sqrt(k(n tau))
-    are attained; for n = 2 the single interior critical point z = 0 gives
-    only -sqrt(k(2 tau)).
+    The interior critical points are z_j = theta2(j pi/n)/theta3(j pi/n),
+    j = 1..n-1, the even-index partners of the zero angles, and f maps each
+    of them to +-sqrt(k(n tau)).  For n >= 3 both signs are attained; for
+    n = 2 the single critical point z = 0 gives only -sqrt(k(2 tau)).
     """
     if cb.n < 2:
         raise NoCriticalValues("f(z) = z has no critical point in the disk")
-    num, den = _rational_coefficient_arrays(cb)
-    P = np.polysub(
-        np.polymul(np.polyder(num), den), np.polymul(num, np.polyder(den))
-    )
-    dP = np.polyder(P)
-    roots = np.roots(P)
-    polished = []
-    for r in roots:
-        z = complex(r)
-        for _ in range(60):
-            dv = complex(np.polyval(dP, z))
-            if dv == 0:
-                break
-            step = complex(np.polyval(P, z)) / dv
-            z -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(z)):
-                break
-        polished.append(z)
-    inside = [z for z in polished if abs(z) < 1.0 - 1e-10]
-    values = []
-    for z in inside:
-        v = eval_product(cb, z)
-        if not any(abs(v - w) <= _DEDUP_TOL for w in values):
-            values.append(v)
     ntau = cb.tau.scaled(cb.n)
     ref = theta(2, 0.0, ntau, cb.cfg) / theta(3, 0.0, ntau, cb.cfg)
-    expected = 2 if cb.n >= 3 else 1
-    if len(values) != expected:
-        raise RootFindingError(
-            f"expected {expected} distinct critical values for n={cb.n}, "
-            f"found {len(values)}: {values}"
-        )
-    for v in values:
-        if min(abs(v - ref), abs(v + ref)) > _CRITICAL_MATCH_TOL:
+    values = {}
+    for j in range(1, cb.n):
+        v = j * math.pi / cb.n
+        z = theta(2, v, cb.tau, cb.cfg) / theta(3, v, cb.tau, cb.cfg)
+        value = eval_product(cb, z)
+        target = ref if abs(value - ref) <= abs(value + ref) else -ref
+        if abs(value - target) > _CRITICAL_MATCH_TOL * abs(ref):
             raise RootFindingError(
-                f"critical value {v} does not match +-sqrt(k(n tau)) = +-{ref}"
+                f"critical value {value} at z={z} does not match "
+                f"+-sqrt(k(n tau)) = +-{ref}"
             )
-    return tuple(sorted(values, key=lambda v: (v.real, v.imag)))
+        values.setdefault(target, value)
+    return tuple(sorted(values.values(), key=lambda v: (v.real, v.imag)))
 
 
 # ---------------------------------------------------------------------------

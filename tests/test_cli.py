@@ -74,6 +74,13 @@ def test_csv_format():
     assert abs(float(fields[2]) - 0.25) < 1e-10
 
 
+def test_unknown_format_exits_two():
+    code, out, err = invoke("--format", "xml", "cb", "build", "--n", "2", "--tau-im", "1")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
 def test_no_nan_or_infinity_in_output():
     code, out, _ = invoke("elliptic", "--v", "0.7", "--tau-im", "20")
     assert code == 0
@@ -101,6 +108,14 @@ def test_malformed_flags_exit_two_with_usage():
     assert "usage" in err.lower() or "invalid" in err.lower()
 
 
+def test_precision_error_carries_degraded_flag():
+    code, out, _ = invoke("theta", "--j", "3", "--v", "0", "--tau-im", "0.001")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "precision_error"
+    assert doc["payload"]["degraded"] is True
+
+
 def test_unverified_limit_exits_one():
     # y = 0.4 is far from the trigonometric limit: a verification failure
     code, out, _ = invoke("landen", "limit", "--id", "n2_prod", "--y-large", "0.4")
@@ -123,6 +138,16 @@ def test_byte_identical_repeated_runs():
     second = invoke(*args)
     assert first == second
     assert first[0] == 0
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chebdisk.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_monodromy_commands():

@@ -1,7 +1,7 @@
 import cmath
 import math
+import random
 
-import numpy as np
 import pytest
 
 from chebdisk import modulus, products
@@ -91,12 +91,12 @@ def test_disk_minus_geodesic_examples():
 
 
 def test_mobius_invariance():
-    rng = np.random.default_rng(1729)
+    rng = random.Random(1729)
     a, b = -0.37, 0.41 + 0.11j
     base = modulus.disk_minus_geodesic_modulus(modulus.GeodesicSegment(a, b))
     for _ in range(10):
         center = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6))
-        phase = cmath.exp(2j * math.pi * rng.uniform())
+        phase = cmath.exp(2j * math.pi * rng.random())
 
         def phi(z):
             return phase * (z - center) / (1.0 - center.conjugate() * z)
@@ -113,10 +113,10 @@ def test_covering_modulus():
     assert modulus.covering_modulus(1.0, 4) == 0.25
     assert modulus.covering_modulus(modulus.annulus_modulus(math.exp(-2 * math.pi)), 2) == 0.5
     assert modulus.covering_modulus(0.7, 1) == 0.7
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(20):
         r = rng.uniform(0.05, 0.95)
-        n = int(rng.integers(1, 9))
+        n = rng.randrange(1, 9)
         assert modulus.covering_modulus(modulus.annulus_modulus(r), n) == pytest.approx(
             modulus.annulus_modulus(r ** (1.0 / n)), rel=1e-12
         )
@@ -127,6 +127,10 @@ def test_covering_modulus():
 def test_dessin_size_examples():
     assert abs(modulus.dessin_size(products.build(2, uhp(1.0))) - 0.25) <= 1e-8
     assert abs(modulus.dessin_size(products.build(2, uhp(0.5))) - 0.125) <= 1e-8
+    # k(n tau) -> 1 here; the slit's complementary length must not cancel
+    for n in (2, 3, 5, 40):
+        for y in (0.05, 0.054, 0.1):
+            assert abs(modulus.dessin_size(products.build(n, uhp(y))) - y / 4.0) <= 1e-14
 
 
 def test_dessin_size_needs_degree_two():

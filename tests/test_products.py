@@ -1,16 +1,23 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebdisk import products
 from chebdisk.elliptic import EllipticContext, sqrt_k
 from chebdisk.errors import DomainError, NoCriticalValues
-from chebdisk.theta import UpperHalfPoint
+from chebdisk.theta import UpperHalfPoint, theta
 
-from helpers import B_4_AT_I, S2_4_AT_I, SQRT_K_AT_2I, SQRT_K_AT_3I, SQRT_K_AT_I, rel_err
+from helpers import (
+    B_4_AT_I,
+    S2_4_AT_I,
+    SQRT_K_AT_2I,
+    SQRT_K_AT_3I,
+    SQRT_K_AT_I,
+    oracle_theta,
+    rel_err,
+)
 
 
 def uhp(y):
@@ -141,24 +148,28 @@ def test_elliptic_rational_degenerations():
 
 # --- derivatives at zero ------------------------------------------------------
 
+def closed(n, tau):
+    return products.closed_derivatives(n, products.field_generators(n, tau))
+
+
 def test_closed_forms_parity_zeros():
-    assert products.derivative_at_zero_closed(2, uhp(0.5), 1) == 0
-    assert products.derivative_at_zero_closed(3, uhp(1.0), 0) == 0
-    assert products.derivative_at_zero_closed(4, uhp(1.0), 3) == 0
+    assert closed(2, uhp(0.5))[1] == 0
+    assert closed(3, uhp(1.0))[0] == 0
+    assert closed(4, uhp(1.0))[3] == 0
 
 
 def test_closed_form_against_series():
     cb = products.build(2, uhp(0.5))
     coeffs = products.taylor_coefficients(cb, 4)
-    closed = products.derivative_at_zero_closed(2, uhp(0.5), 2)
-    assert rel_err(closed, 2.0 * coeffs[2]) <= 1e-9
+    assert rel_err(complex(closed(2, uhp(0.5))[2]), 2.0 * coeffs[2]) <= 1e-9
 
 
 def test_recurrence_against_series():
     for n, y, order in ((2, 0.5, 6), (3, 1.0, 7)):
         tau = uhp(y)
         lower = products.derivatives_at_zero(n, tau, order - 2)
-        nxt = products.derivative_at_zero_recurrence(n, tau, order - 2, lower)
+        gens = products.field_generators(n, tau)
+        nxt = complex(products.recurrence_step(n, order - 2, lower, gens))
         cb = products.build(n, tau)
         coeffs = products.taylor_coefficients(cb, order)
         assert rel_err(nxt, math.factorial(order) * coeffs[order]) <= 1e-8
@@ -166,7 +177,7 @@ def test_recurrence_against_series():
 
 def test_recurrence_parity_mismatch():
     with pytest.raises(DomainError):
-        products.derivative_at_zero_recurrence(2, uhp(1.0), 5, {})
+        products.recurrence_step(2, 5, {}, products.field_generators(2, uhp(1.0)))
 
 
 def test_field_generator_arity():
@@ -181,8 +192,9 @@ def test_field_generator_arity():
             (nctx.theta3_null / ctx.theta3_null) ** 2,
         )
         from_gens = products.closed_derivatives(n, gens)
+        derivs = products.derivatives_at_zero(n, tau, 5)
         for i in range(6):
-            direct = products.derivative_at_zero_closed(n, tau, i)
+            direct = derivs[i]
             if direct == 0:
                 assert from_gens[i] == 0
             else:
@@ -260,6 +272,41 @@ def test_critical_values_degree_three():
     assert len(vals) == 2
     assert abs(vals[0] + SQRT_K_AT_3I) <= 1e-7
     assert abs(vals[1] - SQRT_K_AT_3I) <= 1e-7
+
+
+def _check_critical_values(n, y):
+    """Both (n = 2: the negative) of +-sqrt(k(n tau)) against the mpmath
+    oracle, relative 1e-7; returns the product."""
+    cb = products.build(n, uhp(y))
+    vals = products.critical_values(cb)
+    s = (oracle_theta(2, 0, n * y * 1j) / oracle_theta(3, 0, n * y * 1j)).real
+    expected = [-s] if n == 2 else [-s, s]
+    assert len(vals) == len(expected)
+    for v, ref in zip(vals, expected):
+        assert abs(v - ref) <= 1e-7 * s, (n, y, v, ref)
+    return cb
+
+
+def test_critical_values_against_oracle():
+    for n in range(2, 41):
+        for y in (0.3, 0.5, 1.0, 2.0):
+            cb = _check_critical_values(n, y)
+            # the closed-form points z_j are critical: f'/f =
+            # p/z + sum_i [2z/(z^2 - b_i) + 2 b_i z/(1 - b_i z^2)] vanishes
+            for j in range(1, n):
+                v = j * math.pi / n
+                z = theta(2, v, cb.tau) / theta(3, v, cb.tau)
+                terms = [2 * z / (z * z - b) + 2 * b * z / (1 - b * z * z) for b in cb.b]
+                if cb.parity:
+                    terms.append(1 / z)
+                scale = max(1.0, sum(abs(t) for t in terms))
+                assert abs(sum(terms)) <= 1e-9 * scale, (n, y, j)
+
+
+@pytest.mark.parametrize("n,y", [(10, 2.0), (13, 1.0), (18, 0.3), (26, 0.5), (4, 0.05), (7, 0.1)])
+def test_critical_values_formerly_failing(n, y):
+    # sqrt(k(n tau)) below 1e-8, or near-coincident values at small Im(tau)
+    _check_critical_values(n, y)
 
 
 # --- modulus ------------------------------------------------------------------
