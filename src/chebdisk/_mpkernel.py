@@ -1,55 +1,62 @@
-"""Arbitrary-precision mirror of the theta series for the coefficient oracle.
+"""Arbitrary-precision theta series for the coefficient oracles.
 
 The derivative recurrence loses many digits to cancellation when it
 reconstructs the smallest coefficients of high-degree products (the target
 values sit up to ~20 decimal orders below the intermediate terms), so that
-route runs on mpmath numbers.  Only plain mpf/mpc arithmetic is used; the
-series, truncation rule and all downstream algebra are the same code shape
-as the double-precision kernel.
+route runs on mpmath numbers.  ``theta_mp`` sums the same series with the
+same pair truncation rule as ``theta.theta``, but it takes only two
+exponentials per call, the nome and e^{iv}, and reaches every later term
+by multiplication.  Only the coefficient oracles import this module, so
+the other layers never load mpmath.
 """
 
 import mpmath as mp
 
-DEFAULT_DPS = 60
-
 
 def theta_mp(j, v, tau, rel_tol=None, max_terms=200):
-    """theta_j(v, tau) on mpmath numbers; same pair rule as theta.theta."""
+    """theta_j(v, tau) on mpmath numbers; same pair rule as theta.theta.
+
+    With q = e^{2 pi i tau}, w = e^{2iv} and u = e^{iv}, pair n >= 1 of
+    theta3 is q^{n^2} (w^n + w^-n) and pair n >= 0 of theta2 is
+    q^{(2n+1)^2/4} (u^(2n+1) + u^-(2n+1)).  theta0 and theta1 alternate the
+    signs of the pairs, and theta1 takes i (u^-(2n+1) - u^(2n+1)) in place
+    of theta2's bracket.
+    """
+    if j not in (0, 1, 2, 3):
+        raise ValueError(f"bad theta index {j}")
     v = mp.mpmathify(v)
     tau = mp.mpmathify(tau)
     if rel_tol is None:
         rel_tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
+    u = mp.exp(1j * v)
+    w = u * u
+    w_inv = 1 / w
     if j in (3, 0):
-        total = mp.mpc(1)
-        below = 0
-        for n in range(1, max_terms + 1):
-            radial = mp.e ** (2j * mp.pi * tau * (n * n))
-            pair = radial * (mp.e ** (2j * n * v) + mp.e ** (-2j * n * v))
-            if j == 0 and n % 2 == 1:
-                pair = -pair
-            total += pair
+        q = mp.exp(2j * mp.pi * tau)
+        q2 = q * q
+        first, total = 1, mp.mpc(1)
+        radial, growth = q, q * q2  # growth q^{2n+1} takes pair n to n + 1
+        up, down = w, w_inv
+    else:
+        q_quarter = mp.exp(0.5j * mp.pi * tau)
+        q2 = q_quarter**8
+        first, total = 0, mp.mpc(0)
+        radial, growth = q_quarter, q2  # growth q^{2n+2} takes pair n to n + 1
+        up, down = u, 1 / u
+    below = 0
+    for n in range(first, max_terms + 1):
+        pair = radial * (down - up if j == 1 else up + down)
+        if j in (0, 1) and n % 2 == 1:
+            pair = -pair
+        total += pair
+        if n >= 1:
             below = below + 1 if abs(pair) <= rel_tol * abs(total) else 0
             if below >= 2:
-                return total
-    elif j in (1, 2):
-        total = mp.mpc(0)
-        below = 0
-        for n in range(0, max_terms + 1):
-            m = 2 * n + 1
-            radial = mp.e ** (2j * mp.pi * tau * (mp.mpf(m * m) / 4))
-            tp = radial * mp.e ** (1j * m * v)
-            tm = radial * mp.e ** (-1j * m * v)
-            if j == 2:
-                pair = tp + tm
-            else:
-                pair = (-1) ** n * (-1j * tp + 1j * tm)
-            total += pair
-            if n >= 1:
-                below = below + 1 if abs(pair) <= rel_tol * abs(total) else 0
-                if below >= 2:
-                    return total
-    else:
-        raise ValueError(f"bad theta index {j}")
+                return 1j * total if j == 1 else total
+        radial *= growth
+        growth *= q2
+        up *= w
+        down *= w_inv
     raise ArithmeticError(f"theta{j} series did not converge at tau={tau}")
 
 

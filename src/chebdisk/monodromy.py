@@ -8,6 +8,7 @@ downstream and those are convention-invariant.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -35,6 +36,13 @@ class Permutation:
             raise DomainError(f"not a bijection of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images):
+        """Wrap a tuple of ints already known to be a bijection of 1..n."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @property
     def n(self):
         return len(self.images)
@@ -44,15 +52,19 @@ class Permutation:
 
     def apply_then(self, other):
         """The composite 'self first, then other'."""
-        return Permutation(tuple(other(self(i)) for i in range(1, self.n + 1)))
+        images = tuple(other.images[p - 1] for p in self.images)
+        if other.n != self.n:  # only a same-degree composite is surely a bijection
+            return Permutation(images)
+        return Permutation._unchecked(images)
 
     def inverse(self):
         inv = [0] * self.n
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
-    def cycles(self):
+    @cached_property
+    def _cycles(self):
         seen = [False] * self.n
         out = []
         for start in range(1, self.n + 1):
@@ -63,9 +75,13 @@ class Permutation:
             while not seen[p - 1]:
                 seen[p - 1] = True
                 cyc.append(p)
-                p = self(p)
+                p = self.images[p - 1]
             out.append(tuple(cyc))
-        return out
+        return tuple(out)
+
+    def cycles(self):
+        """The cycles, fixed points included, each starting at its least point."""
+        return self._cycles
 
     def cycle_type(self):
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -178,31 +194,34 @@ class MonodromyRep:
                 f"do not match n={self.n}"
             )
 
+    @cached_property
+    def _transitive(self):
+        seen = {1}
+        frontier = [1]
+        while frontier:
+            p = frontier.pop()
+            for q in (self.sigma1.images[p - 1], self.sigma2.images[p - 1]):
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        return len(seen) == self.n
+
 
 def is_transitive(rep):
-    """Orbit of 1 under <sigma1, sigma2> covers all n points."""
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        p = frontier.pop()
-        for sigma in (rep.sigma1, rep.sigma2):
-            q = sigma(p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return len(seen) == rep.n
+    """Orbit of 1 under <sigma1, sigma2> covers all n points (computed once per rep)."""
+    return rep._transitive
 
 
 def is_tree(rep):
     """c1 + c2 = n + 1 (transitivity required)."""
-    if not is_transitive(rep):
+    if not rep._transitive:
         raise NotTransitiveError("tree test requires a transitive representation")
     return cycle_count(rep.sigma1) + cycle_count(rep.sigma2) == rep.n + 1
 
 
 def euler_characteristic_disk(rep):
     """chi of the covering surface over the disk: -n + c1 + c2."""
-    if not is_transitive(rep):
+    if not rep._transitive:
         raise NotTransitiveError("Euler characteristic requires transitivity")
     return -rep.n + cycle_count(rep.sigma1) + cycle_count(rep.sigma2)
 
@@ -213,11 +232,6 @@ def face_cycles(rep):
     Cycle counts are inversion-invariant, so the inverse is not formed.
     """
     return cycle_count(rep.sigma1.apply_then(rep.sigma2))
-
-
-def sphere_disk_euler_difference(rep):
-    """chi(sphere cover) - chi(disk cover); equals the face count c3."""
-    return face_cycles(rep)
 
 
 def are_equivalent(rep1, rep2):

@@ -16,9 +16,6 @@ import cmath
 import json
 import math
 
-import mpmath as mp
-
-from . import _mpkernel
 from .errors import (
     DomainError,
     NoCriticalValues,
@@ -302,10 +299,12 @@ def recurrence_step(n, i, lower, generators):
         1 / kt + kt
     )
     cubic = 12 * n**2 * R**2 * knt / kt
+    # f(k) f(j-k) f(i-j) vanishes unless all three orders share n's parity,
+    # that is unless j is even and k = n (mod 2).
     triple = zero
-    for j in range(1, i):
+    for j in range(2, i, 2):
         cj = math.comb(i - 1, j)
-        for k in range(0, j):
+        for k in range(n % 2, j, 2):
             triple = triple + cj * math.comb(j - 1, k) * f(k) * f(j - k) * f(i - j)
     return -(coef * f(i) + i * (i - 1) ** 2 * (i - 2) * f(i - 2) - cubic * triple)
 
@@ -398,7 +397,7 @@ def _to_real_list(values, tau):
     return [complex(v) for v in values]
 
 
-def coefficients_from_derivatives(n, tau, dps=_mpkernel.DEFAULT_DPS):
+def coefficients_from_derivatives(n, tau, dps=60):
     """S_{n,j} from the derivative closed forms + recurrence + linear solve.
 
     The pipeline runs on arbitrary-precision numbers: the recurrence
@@ -407,6 +406,9 @@ def coefficients_from_derivatives(n, tau, dps=_mpkernel.DEFAULT_DPS):
     """
     if n < 2:
         raise DomainError(f"coefficient system needs n >= 2, got {n}")
+    import mpmath as mp
+    from . import _mpkernel
+
     m = n // 2
     with mp.workdps(dps):
         gens = _mpkernel.field_generators_mp(n, tau.value)
@@ -425,11 +427,14 @@ def coefficients_from_derivatives(n, tau, dps=_mpkernel.DEFAULT_DPS):
     return _to_real_list(S, tau)
 
 
-def coefficients_from_longdivision(n, tau, dps=_mpkernel.DEFAULT_DPS):
+def coefficients_from_longdivision(n, tau, dps=60):
     """S_{n,j} recovered from long-division Taylor coefficients of the
     expanded form; independent of the closed forms and the recurrence."""
     if n < 2:
         raise DomainError(f"coefficient system needs n >= 2, got {n}")
+    import mpmath as mp
+    from . import _mpkernel
+
     m = n // 2
     p = n % 2
     with mp.workdps(dps):

@@ -12,14 +12,18 @@ import mpmath as mp
 _JTHETA_INDEX = {1: 1, 2: 2, 3: 3, 0: 4}
 
 
-def oracle_theta(j, v, tau, dps=30):
-    """Reference theta value via mpmath.jtheta; returns complex."""
+def oracle_theta_mp(j, v, tau):
+    """Reference theta value via mpmath.jtheta at the working precision."""
     if not -0.5 < complex(tau).real <= 0.5:
         raise ValueError("oracle valid only for Re(tau) in (-1/2, 1/2]")
+    q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
+    return mp.jtheta(_JTHETA_INDEX[j], mp.mpmathify(v), q)
+
+
+def oracle_theta(j, v, tau, dps=30):
+    """Reference theta value via mpmath.jtheta; returns complex."""
     with mp.workdps(dps):
-        q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-        val = mp.jtheta(_JTHETA_INDEX[j], mp.mpmathify(v), q)
-        return complex(val)
+        return complex(oracle_theta_mp(j, v, tau))
 
 
 def rel_err(value, reference):

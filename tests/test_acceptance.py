@@ -8,10 +8,11 @@ outside: exit codes, byte-identical output, parse diagnostics.
 import json
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
-from chebdisk import acceptance
+from chebdisk import acceptance, monodromy
 
 
 def _check(result):
@@ -53,6 +54,39 @@ def test_criterion_8_chebyshev_degeneration():
 
 def test_criterion_9_monodromy_suite():
     _check(acceptance.criterion_9_monodromy())
+
+
+def _transitive_pair_count(n):
+    """Pairs in S_n x S_n whose generated group moves 0 to every point."""
+    perms = list(permutations(range(n)))
+    count = 0
+    for a in perms:
+        for b in perms:
+            orbit = {0}
+            while True:
+                grown = orbit | {a[p] for p in orbit} | {b[p] for p in orbit}
+                if grown == orbit:
+                    break
+                orbit = grown
+            count += len(orbit) == n
+    return count
+
+
+def test_criterion_9_sweeps_every_transitive_pair(monkeypatch):
+    counts = [_transitive_pair_count(n) for n in range(1, 6)]
+    assert counts == [1, 3, 26, 426, 11064]
+    calls = []
+    is_tree = monodromy.is_tree
+
+    def counting_is_tree(rep):
+        calls.append(rep.n)
+        return is_tree(rep)
+
+    monkeypatch.setattr(monodromy, "is_tree", counting_is_tree)
+    _check(acceptance.criterion_9_monodromy())
+    # the sweep once per transitive pair, then is_tree and dessin_stats
+    # on each chain representation n = 1..10
+    assert len(calls) == sum(counts) + 20
 
 
 def test_criterion_10_modulus_keystone():

@@ -150,6 +150,16 @@ def test_cli_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_mpmath_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chebdisk.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_monodromy_commands():
     result = run_cli("monodromy", "analyze", "--sigma1", "(1 2)", "--sigma2", "(2 3)")
     assert result.payload["tree"] is True

@@ -89,9 +89,29 @@ def test_face_cycles_examples():
     assert mono.face_cycles(rep(3, "(1 2 3)", "(1 3 2)")) == 3
 
 
-def test_sphere_disk_euler_difference_alias():
-    r = rep(3, "(1 2)", "(2 3)")
-    assert mono.sphere_disk_euler_difference(r) == mono.face_cycles(r)
+def test_unvalidated_composites_match_validated_construction():
+    perms = [mono.Permutation(p) for p in permutations((1, 2, 3, 4))]
+    for a in perms:
+        inv = a.inverse()
+        checked_inv = mono.Permutation(tuple(a.images.index(i) + 1 for i in range(1, 5)))
+        assert inv == checked_inv and hash(inv) == hash(checked_inv)
+        assert repr(inv) == repr(checked_inv)
+        for b in perms:
+            comp = a.apply_then(b)
+            checked = mono.Permutation(tuple(b(a(i)) for i in range(1, 5)))
+            assert comp == checked and hash(comp) == hash(checked)
+            assert repr(comp) == repr(checked)
+            assert comp.cycles() == checked.cycles()
+    perm = mono.parse_permutation("(1 3)(2 4)", 5)
+    assert perm.cycles() == ((1, 3), (2, 4), (5,))
+    assert perm.cycles() is perm.cycles()
+    with pytest.raises(DomainError):
+        mono.Permutation((2, 2, 1, 4))
+    # composites across degrees are still validated
+    swap = mono.Permutation((2, 1))
+    assert swap.apply_then(mono.Permutation.identity(3)) == swap
+    with pytest.raises(DomainError):
+        swap.apply_then(mono.Permutation((3, 1, 2)))
 
 
 # --- equivalence ----------------------------------------------------------------------
