@@ -12,8 +12,12 @@ the other layers never load mpmath.
 
 import mpmath as mp
 
+# The pair rule stops below 10^-(dps - GUARD_DIGITS) relative to the sum.
+GUARD_DIGITS = 8
+MAX_INDEX = 200
 
-def theta_mp(j, v, tau, rel_tol=None, max_terms=200):
+
+def theta_mp(j, v, tau):
     """theta_j(v, tau) on mpmath numbers; same pair rule as theta.theta.
 
     With q = e^{2 pi i tau}, w = e^{2iv} and u = e^{iv}, pair n >= 1 of
@@ -26,8 +30,7 @@ def theta_mp(j, v, tau, rel_tol=None, max_terms=200):
         raise ValueError(f"bad theta index {j}")
     v = mp.mpmathify(v)
     tau = mp.mpmathify(tau)
-    if rel_tol is None:
-        rel_tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
+    rel_tol = mp.mpf(10) ** (-(mp.mp.dps - GUARD_DIGITS))
     u = mp.exp(1j * v)
     w = u * u
     w_inv = 1 / w
@@ -44,7 +47,7 @@ def theta_mp(j, v, tau, rel_tol=None, max_terms=200):
         radial, growth = q_quarter, q2  # growth q^{2n+2} takes pair n to n + 1
         up, down = u, 1 / u
     below = 0
-    for n in range(first, max_terms + 1):
+    for n in range(first, MAX_INDEX + 1):
         pair = radial * (down - up if j == 1 else up + down)
         if j in (0, 1) and n % 2 == 1:
             pair = -pair

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from . import landen, modulus, monodromy, products
 from .elliptic import EllipticContext, cd, k_modulus, omega1, sqrt_k
-from .theta import DEFAULT_CONFIG, UpperHalfPoint, theta
+from .theta import UpperHalfPoint, theta
 
 DEFAULT_SEED = 1729
 
@@ -47,7 +47,7 @@ def _uhp(value):
     return UpperHalfPoint(complex(value))
 
 
-def criterion_1_theta_transforms(cfg=DEFAULT_CONFIG):
+def criterion_1_theta_transforms():
     """Quartic relation, tau-shift / inversion transforms, Gamma0(4) transform.
 
     The theta2 shift carries the phase factor i that the (n+1/2)^2 weights
@@ -56,47 +56,37 @@ def criterion_1_theta_transforms(cfg=DEFAULT_CONFIG):
     worst = 0.0
     for tval in _THETA_GRID:
         tau = _uhp(tval)
-        t2, t3, t0 = (theta(j, 0.0, tau, cfg) for j in (2, 3, 0))
+        t2, t3, t0 = (theta(j, 0.0, tau) for j in (2, 3, 0))
         worst = max(worst, _rel(t3**4, t2**4 + t0**4))
         tau_plus = _uhp(tval + 1)
         tau_quarter = _uhp(tval / 4)
         tau_inv = _uhp(-1 / tval)
         for v in _V_POINTS:
-            worst = max(
-                worst, _rel(theta(3, v, tau_plus, cfg), theta(3, v, tau, cfg))
-            )
-            worst = max(
-                worst, _rel(theta(2, v, tau_plus, cfg), 1j * theta(2, v, tau, cfg))
-            )
+            worst = max(worst, _rel(theta(3, v, tau_plus), theta(3, v, tau)))
+            worst = max(worst, _rel(theta(2, v, tau_plus), 1j * theta(2, v, tau)))
             prefactor = cmath.sqrt(-1j * tval / 2) * cmath.exp(
                 1j * tval * v * v / (2 * math.pi)
             )
             worst = max(
                 worst,
                 _rel(
-                    theta(3, v, tau_inv, cfg),
-                    prefactor * theta(3, tval * v / 2, tau_quarter, cfg),
+                    theta(3, v, tau_inv),
+                    prefactor * theta(3, tval * v / 2, tau_quarter),
                 ),
             )
             worst = max(
                 worst,
                 _rel(
-                    theta(2, v, tau_inv, cfg),
-                    prefactor * theta(0, tval * v / 2, tau_quarter, cfg),
+                    theta(2, v, tau_inv),
+                    prefactor * theta(0, tval * v / 2, tau_quarter),
                 ),
             )
-        worst = max(
-            worst, _rel(theta(3, 0.0, _uhp(tval - 0.5), cfg), theta(0, 0.0, tau, cfg))
-        )
+        worst = max(worst, _rel(theta(3, 0.0, _uhp(tval - 0.5)), theta(0, 0.0, tau)))
     for tval in (1j, 2j, 0.25 + 1j):
         tau = _uhp(tval)
         moved = _uhp(tval / (4 * tval + 1))
         worst = max(
-            worst,
-            _rel(
-                theta(3, 0.0, moved, cfg),
-                cmath.sqrt(4 * tval + 1) * theta(3, 0.0, tau, cfg),
-            ),
+            worst, _rel(theta(3, 0.0, moved), cmath.sqrt(4 * tval + 1) * theta(3, 0.0, tau))
         )
     tol = 1e-10
     return CriterionResult(
@@ -105,12 +95,12 @@ def criterion_1_theta_transforms(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_2_cd_degeneration(cfg=DEFAULT_CONFIG):
+def criterion_2_cd_degeneration():
     """cd(u, iy) -> cos u: 1e-10 at y=20 and errors non-increasing in y."""
     us = [-2.0 + 4.0 * i / 31 for i in range(32)]
     errs = {}
     for y in (10, 20, 40):
-        ctx = EllipticContext(_uhp(1j * y), cfg)
+        ctx = EllipticContext(_uhp(1j * y))
         errs[y] = max(abs(cd(u, ctx) - math.cos(u)) for u in us)
     passed = errs[20] <= 1e-10 and errs[40] <= errs[20] <= errs[10]
     return CriterionResult(
@@ -119,7 +109,7 @@ def criterion_2_cd_degeneration(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_3_blaschke_geometry(seed=DEFAULT_SEED, cfg=DEFAULT_CONFIG):
+def criterion_3_blaschke_geometry(seed=DEFAULT_SEED):
     """Boundary modulus 1, strict interior contraction, two forms agree."""
     rng = random.Random(seed)
     worst_boundary = 0.0
@@ -127,7 +117,7 @@ def criterion_3_blaschke_geometry(seed=DEFAULT_SEED, cfg=DEFAULT_CONFIG):
     contraction_ok = True
     for n in range(1, 9):
         for y in (0.8, 1.0, 2.0):
-            cb = products.build(n, _uhp(1j * y), cfg)
+            cb = products.build(n, _uhp(1j * y))
             for idx in range(64):
                 z = cmath.exp(2j * math.pi * idx / 64)
                 worst_boundary = max(
@@ -152,7 +142,7 @@ def criterion_3_blaschke_geometry(seed=DEFAULT_SEED, cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_4_functional_definition(cfg=DEFAULT_CONFIG):
+def criterion_4_functional_definition():
     """f(sqrt(k) cd(omega1 u, tau)) = sqrt(k(n tau)) cd(n omega1(n tau) u, n tau)."""
     worst = 0.0
     us = [0.05 + 1.95 * i / 19 for i in range(20)]
@@ -160,9 +150,9 @@ def criterion_4_functional_definition(cfg=DEFAULT_CONFIG):
         for y in (0.5, 1.0):
             tau = _uhp(1j * y)
             ntau = tau.scaled(n)
-            ctx = EllipticContext(tau, cfg)
-            nctx = EllipticContext(ntau, cfg)
-            cb = products.build(n, tau, cfg)
+            ctx = EllipticContext(tau)
+            nctx = EllipticContext(ntau)
+            cb = products.build(n, tau)
             for u in us:
                 z = sqrt_k(ctx) * cd(omega1(ctx) * u, ctx)
                 lhs = products.eval_product(cb, z)
@@ -175,12 +165,12 @@ def criterion_4_functional_definition(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_5_composition(cfg=DEFAULT_CONFIG):
+def criterion_5_composition():
     """f_{m, n tau} o f_{n, tau} = f_{mn, tau} on interior grids."""
     worst = 0.0
     for m, n in ((2, 2), (2, 3), (3, 2), (1, 5)):
         for y in (0.5, 1.0):
-            rep = products.compose_check(m, n, _uhp(1j * y), cfg)
+            rep = products.compose_check(m, n, _uhp(1j * y))
             worst = max(worst, rep["max_deviation"])
     tol = 1e-9
     return CriterionResult(
@@ -189,14 +179,14 @@ def criterion_5_composition(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_6_coefficient_oracles(cfg=DEFAULT_CONFIG):
+def criterion_6_coefficient_oracles():
     """S_{n,j} three ways: symmetric polynomials, derivative recurrence
     + linear system, long-division Taylor coefficients."""
     worst = 0.0
     for n in range(2, 11):
         for y in (0.5, 1.0, 2.0):
             tau = _uhp(1j * y)
-            s_sym = products.build(n, tau, cfg).S
+            s_sym = products.build(n, tau).S
             s_der = products.coefficients_from_derivatives(n, tau)
             s_div = products.coefficients_from_longdivision(n, tau)
             for a, b, c in zip(s_sym, s_der, s_div):
@@ -210,16 +200,16 @@ def criterion_6_coefficient_oracles(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_7_critical_values(cfg=DEFAULT_CONFIG):
+def criterion_7_critical_values():
     """Critical values sit at +-sqrt(k(n tau)); both signs appear for n >= 3."""
     worst = 0.0
     signs_ok = True
     for n in range(2, 12):
         for y in (0.3, 0.5, 1.0, 2.0):
             tau = _uhp(1j * y)
-            cb = products.build(n, tau, cfg)
+            cb = products.build(n, tau)
             vals = products.critical_values(cb)
-            ref = sqrt_k(EllipticContext(tau.scaled(n), cfg)).real
+            ref = sqrt_k(EllipticContext(tau.scaled(n))).real
             for v in vals:
                 worst = max(worst, min(abs(v - ref), abs(v + ref)) / ref)
             signs = {1 if v.real > 0 else -1 for v in vals}
@@ -233,7 +223,7 @@ def criterion_7_critical_values(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_8_chebyshev_degeneration(cfg=DEFAULT_CONFIG):
+def criterion_8_chebyshev_degeneration():
     """Elliptic rational functions at tau = 10i match Chebyshev polynomials."""
     worst = 0.0
     tau = _uhp(10j)
@@ -242,10 +232,7 @@ def criterion_8_chebyshev_degeneration(cfg=DEFAULT_CONFIG):
         for x in xs:
             worst = max(
                 worst,
-                abs(
-                    products.elliptic_rational(n, tau, x, cfg)
-                    - products.chebyshev_poly(n, x)
-                ),
+                abs(products.elliptic_rational(n, tau, x) - products.chebyshev_poly(n, x)),
             )
     tol = 1e-8
     return CriterionResult(
@@ -328,13 +315,13 @@ def criterion_9_monodromy(seed=DEFAULT_SEED):
     )
 
 
-def criterion_10_modulus_keystone(cfg=DEFAULT_CONFIG):
+def criterion_10_modulus_keystone():
     """disk-minus-geodesic modulus between +-sqrt(k(n tau)) vs n Im(tau)/4."""
     worst = 0.0
     for n in (1, 2, 3, 4):
         for y in (0.5, 1.0, 2.0):
             tau = _uhp(1j * y)
-            s = sqrt_k(EllipticContext(tau.scaled(n), cfg)).real
+            s = sqrt_k(EllipticContext(tau.scaled(n))).real
             M = modulus.disk_minus_geodesic_modulus(modulus.GeodesicSegment(-s, s))
             worst = max(worst, abs(M - n * y / 4.0))
     anchor = max(
@@ -344,7 +331,7 @@ def criterion_10_modulus_keystone(cfg=DEFAULT_CONFIG):
     worst_dessin = 0.0
     for n in (2, 3, 4):
         for y in (0.5, 1.0, 2.0):
-            cb = products.build(n, _uhp(1j * y), cfg)
+            cb = products.build(n, _uhp(1j * y))
             worst_dessin = max(worst_dessin, abs(modulus.dessin_size(cb) - y / 4.0))
     passed = worst <= 1e-8 and anchor <= 1e-10 and worst_dessin <= 1e-8
     return CriterionResult(
@@ -353,13 +340,13 @@ def criterion_10_modulus_keystone(cfg=DEFAULT_CONFIG):
     )
 
 
-def criterion_11_landen_catalog(cfg=DEFAULT_CONFIG):
+def criterion_11_landen_catalog():
     """Every catalog identity over the six-point grid; nine trig targets."""
     worst_id = 0.0
-    for report in landen.run_catalog(cfg=cfg):
+    for report in landen.run_catalog():
         worst_id = max(worst_id, report.residual)
     worst_trig = 0.0
-    for report in landen.run_trig_limits(30.0, cfg):
+    for report in landen.run_trig_limits(30.0):
         worst_trig = max(worst_trig, report.residual)
     passed = worst_id <= landen.IDENTITY_TOLERANCE and worst_trig <= landen.TRIG_TOLERANCE
     return CriterionResult(
@@ -388,9 +375,7 @@ def run_all(seed=DEFAULT_SEED):
     """Execute criteria 1..11 and return their results in order."""
     results = []
     for fn in _CRITERIA:
-        if fn is criterion_3_blaschke_geometry:
-            results.append(fn(seed=seed))
-        elif fn is criterion_9_monodromy:
+        if fn in (criterion_3_blaschke_geometry, criterion_9_monodromy):
             results.append(fn(seed=seed))
         else:
             results.append(fn())

@@ -8,26 +8,14 @@ floats at 17 significant digits.
 """
 
 import argparse
+import cmath
 import sys
 
 from . import acceptance, landen, modulus, monodromy, products
 from .elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
-from .errors import (
-    ChebdiskError,
-    DenominatorNearZero,
-    DomainError,
-    NoCriticalValues,
-    NotTransitiveError,
-    NotTreeError,
-    ParseError,
-    PoleError,
-    PrecisionError,
-    RootFindingError,
-    SingularSystemError,
-    SizeLimitError,
-)
+from .errors import ChebdiskError, DomainError, ParseError, PrecisionError
 from .jsonio import flatten_for_csv, render_csv, render_json
-from .theta import DEFAULT_CONFIG, SeriesConfig, UpperHalfPoint, theta
+from .theta import UpperHalfPoint, theta
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -43,13 +31,13 @@ class CommandResult:
 
 
 def parse_complex(text):
-    """Complex literal as "re" or "re,im"."""
+    """Complex literal as "re" or "re,im" with finite parts."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(*map(float, parts))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
     raise ParseError(f"expected complex literal 're' or 're,im', got {text!r}")
@@ -67,22 +55,9 @@ def _tau_from(args):
     raise ParseError("one of --tau-im or --tau is required")
 
 
-def _cfg_from(args):
-    rel_tol = getattr(args, "tol", None)
-    max_terms = getattr(args, "max_terms", None)
-    if rel_tol is None and max_terms is None:
-        return DEFAULT_CONFIG
-    return SeriesConfig(
-        rel_tol=rel_tol if rel_tol is not None else DEFAULT_CONFIG.rel_tol,
-        max_index=max_terms if max_terms is not None else DEFAULT_CONFIG.max_index,
-    )
-
-
 def _add_tau_flags(p):
     p.add_argument("--tau-im", type=float, help="Im(tau) for tau on the imaginary axis")
     p.add_argument("--tau", help="complex tau as re,im")
-    p.add_argument("--tol", type=float, help="series relative tolerance")
-    p.add_argument("--max-terms", type=int, help="series index cap")
 
 
 def _report_payload(rep):
@@ -103,7 +78,7 @@ def _report_payload(rep):
 
 def _cmd_theta(args):
     tau = _tau_from(args)
-    value = theta(args.j, parse_complex(args.v), tau, _cfg_from(args))
+    value = theta(args.j, parse_complex(args.v), tau)
     payload = {"re": value.real, "im": value.imag}
     if tau.degraded:
         payload["degraded"] = True
@@ -112,7 +87,7 @@ def _cmd_theta(args):
 
 def _cmd_elliptic(args):
     tau = _tau_from(args)
-    ctx = EllipticContext(tau, _cfg_from(args))
+    ctx = EllipticContext(tau)
     u = parse_complex(args.v)
     payload = {
         "tau_im": tau.value.imag,
@@ -130,7 +105,7 @@ def _cmd_elliptic(args):
 
 def _cmd_cb_build(args):
     tau = _tau_from(args)
-    cb = products.build(args.n, tau, _cfg_from(args))
+    cb = products.build(args.n, tau)
     payload = {
         "n": cb.n,
         "tau_im": tau.value.imag,
@@ -144,7 +119,7 @@ def _cmd_cb_build(args):
 
 def _cmd_cb_eval(args):
     tau = _tau_from(args)
-    cb = products.build(args.n, tau, _cfg_from(args))
+    cb = products.build(args.n, tau)
     z = parse_complex(args.z)
     fz_product = products.eval_product(cb, z)
     fz_expanded = products.eval_expanded(cb, z)
@@ -161,7 +136,7 @@ def _cmd_cb_eval(args):
 
 def _cmd_cb_coeffs(args):
     tau = _tau_from(args)
-    cb = products.build(args.n, tau, _cfg_from(args))
+    cb = products.build(args.n, tau)
     s_der = products.coefficients_from_derivatives(args.n, tau)
     residual = max(
         abs(a - b) / abs(a) for a, b in zip(cb.S, s_der)
@@ -178,7 +153,7 @@ def _cmd_cb_coeffs(args):
 
 def _cmd_cb_derivs(args):
     tau = _tau_from(args)
-    vals = products.derivatives_at_zero(args.n, tau, args.order, _cfg_from(args))
+    vals = products.derivatives_at_zero(args.n, tau, args.order)
     payload = {
         "n": args.n,
         "tau_im": tau.value.imag,
@@ -190,11 +165,10 @@ def _cmd_cb_derivs(args):
 
 def _cmd_cb_critical(args):
     tau = _tau_from(args)
-    cfg = _cfg_from(args)
-    cb = products.build(args.n, tau, cfg)
+    cb = products.build(args.n, tau)
     vals = products.critical_values(cb)
     ntau = tau.scaled(args.n)
-    ref = (theta(2, 0.0, ntau, cfg) / theta(3, 0.0, ntau, cfg)).real
+    ref = (theta(2, 0.0, ntau) / theta(3, 0.0, ntau)).real
     payload = {
         "n": cb.n,
         "tau_im": tau.value.imag,
@@ -206,7 +180,7 @@ def _cmd_cb_critical(args):
 
 def _cmd_cb_modulus(args):
     tau = _tau_from(args)
-    cb = products.build(args.n, tau, _cfg_from(args))
+    cb = products.build(args.n, tau)
     payload = {
         "n": cb.n,
         "tau_im": tau.value.imag,
@@ -218,7 +192,7 @@ def _cmd_cb_modulus(args):
 
 def _cmd_cb_compose(args):
     tau = _tau_from(args)
-    payload = products.compose_check(args.m, args.n, tau, _cfg_from(args))
+    payload = products.compose_check(args.m, args.n, tau)
     return payload, _EXIT_OK
 
 
@@ -301,7 +275,7 @@ def _cmd_modulus_geodesic(args):
 
 def _cmd_modulus_dessin_size(args):
     tau = _tau_from(args)
-    cb = products.build(args.n, tau, _cfg_from(args))
+    cb = products.build(args.n, tau)
     payload = {
         "n": args.n,
         "tau_im": tau.value.imag,
@@ -312,19 +286,18 @@ def _cmd_modulus_dessin_size(args):
 
 
 def _cmd_landen_verify(args):
-    rep = landen.verify_identity(args.id, _tau_from(args), _cfg_from(args))
+    rep = landen.verify_identity(args.id, _tau_from(args))
     return _report_payload(rep), _EXIT_OK if rep.passed else _EXIT_VERIFY
 
 
 def _cmd_landen_limit(args):
-    rep = landen.trig_limit(args.id, args.y_large, _cfg_from(args))
+    rep = landen.trig_limit(args.id, args.y_large)
     return _report_payload(rep), _EXIT_OK if rep.passed else _EXIT_VERIFY
 
 
 def _cmd_landen_all(args):
-    cfg = _cfg_from(args)
-    records = [_report_payload(r) for r in landen.run_catalog(cfg=cfg)]
-    records += [_report_payload(r) for r in landen.run_trig_limits(cfg=cfg)]
+    records = [_report_payload(r) for r in landen.run_catalog()]
+    records += [_report_payload(r) for r in landen.run_trig_limits()]
     ok = all(r["pass"] for r in records)
     payload = {"records": records, "all_passed": ok}
     return payload, _EXIT_OK if ok else _EXIT_VERIFY
@@ -459,21 +432,6 @@ def build_parser():
 _STATUS_BY_ERROR = (
     (ParseError, "parse_error", _EXIT_INPUT),
     (PrecisionError, "precision_error", _EXIT_INPUT),
-    (
-        (
-            DomainError,
-            PoleError,
-            SingularSystemError,
-            NoCriticalValues,
-            RootFindingError,
-            NotTransitiveError,
-            NotTreeError,
-            SizeLimitError,
-            DenominatorNearZero,
-        ),
-        "domain_error",
-        _EXIT_INPUT,
-    ),
 )
 
 
@@ -514,7 +472,14 @@ def render(result, fmt):
 
 def main(argv=None):
     result = run(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(render(result, result.fmt))
+    try:
+        document = render(result, result.fmt)
+    except DomainError as exc:
+        # a payload holding NaN or an infinity has no document of its own
+        payload = {"error": str(exc)}
+        result = CommandResult("domain_error", payload, _EXIT_INPUT, result.fmt)
+        document = render(result, result.fmt)
+    sys.stdout.write(document)
     return result.exit_code
 
 

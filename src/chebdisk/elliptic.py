@@ -12,7 +12,7 @@ cd*dn = cn against the separately evaluated cn and dn.
 """
 
 from .errors import DomainError, PoleError
-from .theta import DEFAULT_CONFIG, theta
+from .theta import theta
 
 _POLE_RATIO = 1e-12
 _NULL_FLOOR = 1e-300
@@ -24,12 +24,11 @@ class EllipticContext:
     Immutable after construction; safe to share between threads.
     """
 
-    def __init__(self, tau, cfg=DEFAULT_CONFIG):
+    def __init__(self, tau):
         self.tau = tau
-        self.cfg = cfg
-        self.theta0_null = theta(0, 0.0, tau, cfg)
-        self.theta2_null = theta(2, 0.0, tau, cfg)
-        self.theta3_null = theta(3, 0.0, tau, cfg)
+        self.theta0_null = theta(0, 0.0, tau)
+        self.theta2_null = theta(2, 0.0, tau)
+        self.theta3_null = theta(3, 0.0, tau)
         for name, val in (
             ("theta0", self.theta0_null),
             ("theta2", self.theta2_null),
@@ -59,8 +58,8 @@ def _theta_arg(u, ctx):
 
 
 def _quotient(num_j, den_j, w, ctx):
-    num = theta(num_j, w, ctx.tau, ctx.cfg)
-    den = theta(den_j, w, ctx.tau, ctx.cfg)
+    num = theta(num_j, w, ctx.tau)
+    den = theta(den_j, w, ctx.tau)
     if abs(den) < _POLE_RATIO * abs(num):
         raise PoleError(
             f"theta{den_j}({w}) ~ 0 relative to theta{num_j}; pole of the quotient"

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DenominatorNearZero, DomainError
 from .products import build
-from .theta import DEFAULT_CONFIG, UpperHalfPoint, theta
+from .theta import UpperHalfPoint, theta
 
 IDENTITY_TOLERANCE = 1e-10
 TRIG_TOLERANCE = 1e-6
@@ -62,21 +62,6 @@ class IdentityReport:
     tolerance: float
     passed: bool
 
-    def to_record(self):
-        from .jsonio import render_json
-
-        return render_json(
-            {
-                "identity_id": self.identity_id,
-                "tau_im": self.tau.value.imag,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "residual": self.residual,
-                "tolerance": self.tolerance,
-                "pass": self.passed,
-            }
-        )
-
 
 def _report(identity_id, tau, lhs, rhs, tolerance):
     lhs = complex(lhs)
@@ -93,8 +78,8 @@ def _report(identity_id, tau, lhs, rhs, tolerance):
     )
 
 
-def _nulls(tau, cfg):
-    return theta(2, 0.0, tau, cfg), theta(3, 0.0, tau, cfg)
+def _nulls(tau):
+    return theta(2, 0.0, tau), theta(3, 0.0, tau)
 
 
 def _guard(num, den, what):
@@ -102,7 +87,7 @@ def _guard(num, den, what):
         raise DenominatorNearZero(f"{what}: denominator {den} degenerate")
 
 
-def landen_general(n, tau, cfg=DEFAULT_CONFIG):
+def landen_general(n, tau):
     """Top-coefficient identity: prod b_i against its closed form.
 
     Even n:  prod b_i = theta2(0, n tau) / theta3(0, n tau)
@@ -111,10 +96,10 @@ def landen_general(n, tau, cfg=DEFAULT_CONFIG):
     """
     if n < 2:
         raise DomainError(f"identities start at n = 2, got {n}")
-    cb = build(n, tau, cfg)
+    cb = build(n, tau)
     lhs = cb.S[-1]
-    t2, t3 = _nulls(tau, cfg)
-    s2, s3 = _nulls(tau.scaled(n), cfg)
+    t2, t3 = _nulls(tau)
+    s2, s3 = _nulls(tau.scaled(n))
     if n % 2 == 0:
         rhs = s2 / s3
     else:
@@ -122,17 +107,17 @@ def landen_general(n, tau, cfg=DEFAULT_CONFIG):
     return _report(f"n{n}_prod", tau, lhs, rhs, IDENTITY_TOLERANCE)
 
 
-def landen_catalog(identity_id, tau, cfg=DEFAULT_CONFIG):
+def landen_catalog(identity_id, tau):
     """One of the lower-coefficient identities (n4_sum, n5_sum, n6_e1, n6_e2)."""
     if identity_id not in _SUM_IDS:
         raise DomainError(
             f"unknown catalog id {identity_id!r}; expected one of {_SUM_IDS}"
         )
     n, j = CATALOG[identity_id]
-    cb = build(n, tau, cfg)
+    cb = build(n, tau)
     lhs = cb.S[j - 1]
-    t2, t3 = _nulls(tau, cfg)
-    s2, s3 = _nulls(tau.scaled(n), cfg)
+    t2, t3 = _nulls(tau)
+    s2, s3 = _nulls(tau.scaled(n))
     if identity_id == "n4_sum":
         num = s3**4 - s2**4
         den = s3 - s2
@@ -159,38 +144,38 @@ def landen_catalog(identity_id, tau, cfg=DEFAULT_CONFIG):
     return _report(identity_id, tau, lhs, rhs, IDENTITY_TOLERANCE)
 
 
-def verify_identity(identity_id, tau, cfg=DEFAULT_CONFIG):
+def verify_identity(identity_id, tau):
     """Dispatch any catalog id, product identities included."""
     if identity_id not in CATALOG:
         raise DomainError(f"unknown identity id {identity_id!r}")
     if identity_id in _SUM_IDS:
-        return landen_catalog(identity_id, tau, cfg)
+        return landen_catalog(identity_id, tau)
     n, _ = CATALOG[identity_id]
-    return landen_general(n, tau, cfg)
+    return landen_general(n, tau)
 
 
-def trig_limit(identity_id, y_large=30.0, cfg=DEFAULT_CONFIG):
+def trig_limit(identity_id, y_large=30.0):
     """e_j / k(tau)^j at tau = i*y_large against the exact cosine constant."""
     if identity_id not in CATALOG:
         raise DomainError(f"unknown identity id {identity_id!r}")
     n, j = CATALOG[identity_id]
     tau = UpperHalfPoint(complex(0.0, y_large))
-    cb = build(n, tau, cfg)
-    t2, t3 = _nulls(tau, cfg)
+    cb = build(n, tau)
+    t2, t3 = _nulls(tau)
     k = (t2 / t3) ** 2
     lhs = cb.S[j - 1] / k**j
     rhs = float(TRIG_TARGETS[identity_id])
     return _report(identity_id, tau, lhs, rhs, TRIG_TOLERANCE)
 
 
-def run_catalog(tau_ims=DEFAULT_TAU_GRID, cfg=DEFAULT_CONFIG):
+def run_catalog(tau_ims=DEFAULT_TAU_GRID):
     """Every catalog identity over the grid, ordered by (id, tau)."""
     out = []
     for identity_id in sorted(CATALOG):
         for y in sorted(tau_ims):
-            out.append(verify_identity(identity_id, UpperHalfPoint(1j * y), cfg))
+            out.append(verify_identity(identity_id, UpperHalfPoint(1j * y)))
     return out
 
 
-def run_trig_limits(y_large=30.0, cfg=DEFAULT_CONFIG):
-    return [trig_limit(identity_id, y_large, cfg) for identity_id in sorted(CATALOG)]
+def run_trig_limits(y_large=30.0):
+    return [trig_limit(identity_id, y_large) for identity_id in sorted(CATALOG)]

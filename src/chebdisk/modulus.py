@@ -62,13 +62,6 @@ def _agm(a, b):
     return 0.5 * (a + b)
 
 
-def complete_elliptic_k(k):
-    """K(k) by the arithmetic-geometric mean, modulus convention."""
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"modulus must be in [0,1), got {k}")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
-
-
 def _ring_modulus(t, t_complement):
     # K(t') / (4 K(t)) with K(t') = pi / (2 agm(1, t)), K(t) = pi / (2 agm(1, t'))
     return _agm(1.0, t_complement) / (4.0 * _agm(1.0, t))
@@ -110,7 +103,7 @@ def dessin_size(cb):
     if not cb.tau.on_imaginary_axis:
         raise DomainError("dessin size requires tau on the imaginary axis")
     ntau = cb.tau.scaled(cb.n)
-    t0, t2, t3 = (theta(j, 0.0, ntau, cb.cfg).real for j in (0, 2, 3))
+    t0, t2, t3 = (theta(j, 0.0, ntau).real for j in (0, 2, 3))
     sk = t2 / t3
     k = sk * sk
     k_comp = (t0 / t3) ** 2

@@ -15,6 +15,7 @@ cross-validation.
 import cmath
 import json
 import math
+import sys
 
 from .errors import (
     DomainError,
@@ -23,7 +24,7 @@ from .errors import (
     RootFindingError,
     SingularSystemError,
 )
-from .theta import DEFAULT_CONFIG, UpperHalfPoint, theta
+from .theta import UpperHalfPoint, theta
 
 _CRITICAL_MATCH_TOL = 1e-7  # relative to sqrt(k(n tau))
 _PIVOT_FLOOR = 1e-12
@@ -32,13 +33,12 @@ _PIVOT_FLOOR = 1e-12
 class ChebyshevBlaschke:
     """Immutable value object: degree, parameter, zeros-squared, coefficients."""
 
-    def __init__(self, n, tau, b, S, cfg=DEFAULT_CONFIG, complex_tau=False):
+    def __init__(self, n, tau, b, S, complex_tau=False):
         self.n = n
         self.tau = tau
         self.b = tuple(b)
         self.S = tuple(S)
         self.parity = n % 2
-        self.cfg = cfg
         self.complex_tau = complex_tau
 
     def __repr__(self):
@@ -78,7 +78,8 @@ class FiniteBlaschkeProduct:
 
 
 def elementary_symmetric(values):
-    """All elementary symmetric polynomials e_1..e_m of the given values."""
+    """All elementary symmetric polynomials e_1..e_m of the given values;
+    generic in number type."""
     m = len(values)
     e = [1.0] + [0.0] * m
     for v in values:
@@ -87,7 +88,7 @@ def elementary_symmetric(values):
     return e[1:]
 
 
-def build(n, tau, cfg=DEFAULT_CONFIG, allow_complex_tau=False):
+def build(n, tau, allow_complex_tau=False):
     """Construct the degree-n Chebyshev-Blaschke product at tau.
 
     On the default path tau must lie on the positive imaginary axis; the
@@ -106,8 +107,8 @@ def build(n, tau, cfg=DEFAULT_CONFIG, allow_complex_tau=False):
     raw = []
     for i in range(1, n // 2 + 1):
         v = (2 * i - 1) * math.pi / (2 * n)
-        q2 = theta(2, v, tau, cfg)
-        q3 = theta(3, v, tau, cfg)
+        q2 = theta(2, v, tau)
+        q3 = theta(3, v, tau)
         raw.append((q2 / q3) ** 2)
     if on_axis:
         b = []
@@ -121,7 +122,7 @@ def build(n, tau, cfg=DEFAULT_CONFIG, allow_complex_tau=False):
                     raise DomainError(f"squared zeros not strictly decreasing: {b}")
     else:
         b = raw
-    return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b), cfg, not on_axis)
+    return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b), not on_axis)
 
 
 def to_blaschke(cb):
@@ -148,23 +149,24 @@ def eval_product(cb, z):
     return val
 
 
-def _expanded_coefficients(cb):
-    """(numerator, denominator) coefficient lists in ascending powers of z^2."""
-    m = cb.n // 2
+def _expanded_coefficients(S):
+    """(numerator, denominator) coefficient lists in ascending powers of z^2
+    for the coefficients S_1..S_m; generic in number type."""
+    m = len(S)
     num = [0.0] * (m + 1)
     den = [0.0] * (m + 1)
     num[m] = 1.0
     den[0] = 1.0
     for j in range(1, m + 1):
-        num[m - j] = (-1) ** j * cb.S[j - 1]
-        den[j] = (-1) ** j * cb.S[j - 1]
+        num[m - j] = (-1) ** j * S[j - 1]
+        den[j] = (-1) ** j * S[j - 1]
     return num, den
 
 
 def eval_expanded(cb, z):
     """Evaluate via the expanded rational form in the coefficients S_j."""
     z = complex(z)
-    num, den = _expanded_coefficients(cb)
+    num, den = _expanded_coefficients(cb.S)
     zz = z * z
     nv = 0j
     for c in reversed(num):
@@ -188,12 +190,12 @@ def chebyshev_poly(n, x):
     return cur
 
 
-def elliptic_rational(n, tau, z, cfg=DEFAULT_CONFIG):
+def elliptic_rational(n, tau, z):
     """T_{n,tau}(z) = f_{n,tau}(sqrt(k(tau)) z) / sqrt(k(n tau))."""
-    cb = build(n, tau, cfg)
-    sk_t = theta(2, 0.0, tau, cfg) / theta(3, 0.0, tau, cfg)
+    cb = build(n, tau)
+    sk_t = theta(2, 0.0, tau) / theta(3, 0.0, tau)
     ntau = tau.scaled(n)
-    sk_nt = theta(2, 0.0, ntau, cfg) / theta(3, 0.0, ntau, cfg)
+    sk_nt = theta(2, 0.0, ntau) / theta(3, 0.0, ntau)
     w = sk_t * complex(z)
     if abs(w) > 1.0 + 1e-12:
         raise DomainError(f"sqrt(k) z = {w} lies outside the closed unit disk")
@@ -218,17 +220,17 @@ def normalized_modulus(cb):
 # derivatives at the origin
 # ---------------------------------------------------------------------------
 
-def field_generators(n, tau, cfg=DEFAULT_CONFIG):
+def field_generators(n, tau):
     """(sqrt_k(tau), sqrt_k(n tau), omega1(n tau)/omega1(tau)).
 
     Every derivative of f at 0 is a rational expression in these three
     numbers; the closed forms and the recurrence below consume nothing else.
     """
-    t2 = theta(2, 0.0, tau, cfg)
-    t3 = theta(3, 0.0, tau, cfg)
+    t2 = theta(2, 0.0, tau)
+    t3 = theta(3, 0.0, tau)
     ntau = tau.scaled(n)
-    s2 = theta(2, 0.0, ntau, cfg)
-    s3 = theta(3, 0.0, ntau, cfg)
+    s2 = theta(2, 0.0, ntau)
+    s3 = theta(3, 0.0, ntau)
     return t2 / t3, s2 / s3, (s3 / t3) ** 2
 
 
@@ -309,11 +311,16 @@ def recurrence_step(n, i, lower, generators):
     return -(coef * f(i) + i * (i - 1) ** 2 * (i - 2) * f(i - 2) - cubic * triple)
 
 
-def derivatives_at_zero(n, tau, top, cfg=DEFAULT_CONFIG):
+def derivatives_at_zero(n, tau, top):
     """f^{(i)}(0) for i = 0..top via closed forms then the recurrence."""
     if n == 1:
         return {i: (1.0 + 0j if i == 1 else 0j) for i in range(top + 1)}
-    gens = field_generators(n, tau, cfg)
+    gens = field_generators(n, tau)
+    if abs(gens[0]) ** 5 < sys.float_info.min:
+        raise DomainError(
+            f"sqrt(k(tau)) = {gens[0]} underflows in the closed forms' "
+            "powers; Im(tau) is too large"
+        )
     vals = closed_derivatives(n, gens)
     i = 4 if n % 2 == 0 else 5
     while i + 2 <= top:
@@ -369,7 +376,7 @@ def series_long_division(num, den, order):
 
 def taylor_coefficients(cb, order):
     """Taylor coefficients of f at 0 by long division of the expanded form."""
-    num, den = _expanded_coefficients(cb)
+    num, den = _expanded_coefficients(cb.S)
     even = series_long_division(num, den, order // 2 + 1)
     out = [0j] * (order + 1)
     for k, c in enumerate(even):
@@ -439,17 +446,7 @@ def coefficients_from_longdivision(n, tau, dps=60):
     p = n % 2
     with mp.workdps(dps):
         b = _mpkernel.squared_zero_parameters_mp(n, tau.value)
-        e = [mp.mpc(1)] + [mp.mpc(0)] * m
-        for bi in b:
-            for j in range(m, 0, -1):
-                e[j] = e[j] + bi * e[j - 1]
-        num = [mp.mpc(0)] * (m + 1)
-        den = [mp.mpc(0)] * (m + 1)
-        num[m] = mp.mpc(1)
-        den[0] = mp.mpc(1)
-        for j in range(1, m + 1):
-            num[m - j] = (-1) ** j * e[j]
-            den[j] = (-1) ** j * e[j]
+        num, den = _expanded_coefficients(elementary_symmetric(b))
         even = series_long_division(num, den, (n + 2 * m - p) // 2 + 1)
         a = {}
         for k, c in enumerate(even):
@@ -476,11 +473,11 @@ def critical_values(cb):
     if cb.n < 2:
         raise NoCriticalValues("f(z) = z has no critical point in the disk")
     ntau = cb.tau.scaled(cb.n)
-    ref = theta(2, 0.0, ntau, cb.cfg) / theta(3, 0.0, ntau, cb.cfg)
+    ref = theta(2, 0.0, ntau) / theta(3, 0.0, ntau)
     values = {}
     for j in range(1, cb.n):
         v = j * math.pi / cb.n
-        z = theta(2, v, cb.tau, cb.cfg) / theta(3, v, cb.tau, cb.cfg)
+        z = theta(2, v, cb.tau) / theta(3, v, cb.tau)
         value = eval_product(cb, z)
         target = ref if abs(value - ref) <= abs(value + ref) else -ref
         if abs(value - target) > _CRITICAL_MATCH_TOL * abs(ref):
@@ -507,15 +504,15 @@ def _interior_grid(count=50):
     return pts
 
 
-def compose_check(m, n, tau, cfg=DEFAULT_CONFIG):
+def compose_check(m, n, tau):
     """Max over an interior grid of |f_{m, n tau}(f_{n,tau}(z)) - f_{mn,tau}(z)|."""
     if m < 1 or n < 1:
         raise DomainError("degrees must be >= 1")
     if m * n > 12:
         raise DomainError(f"m*n = {m*n} exceeds the guarded bound 12")
-    inner = build(n, tau, cfg)
-    outer = build(m, tau.scaled(n), cfg)
-    full = build(m * n, tau, cfg)
+    inner = build(n, tau)
+    outer = build(m, tau.scaled(n))
+    full = build(m * n, tau)
     worst = 0.0
     pts = _interior_grid()
     for z in pts:

@@ -13,7 +13,10 @@ which pins the q^{1/4}-type branch unambiguously for complex tau.
 
 Summation runs over the symmetric index range n = -N..N, accumulating the
 two members of each +-n (or n, -n-1) pair together so that the exact
-cancellations of the odd/even symmetries survive in floating point.
+cancellations of the odd/even symmetries survive in floating point.  One
+fixed truncation rule serves every evaluation: the sum stops after two
+consecutive pairs below REL_TOL * |sum|, and a series that has not stopped
+by pair index MAX_INDEX raises PrecisionError.
 """
 
 import cmath
@@ -24,26 +27,12 @@ from .errors import DomainError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
 
-# Below this Im(tau) the direct series still converges inside max_index but
+# Below this Im(tau) the direct series still converges inside MAX_INDEX but
 # the full-accuracy guarantee is withdrawn; evaluations flag themselves.
 TAU_IM_FLOOR = 0.05
 
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the theta series."""
-
-    rel_tol: float = 1e-15
-    max_index: int = 64
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_index < 8:
-            raise DomainError(f"max_index must be >= 8, got {self.max_index}")
-
-
-DEFAULT_CONFIG = SeriesConfig()
+REL_TOL = 1e-15
+MAX_INDEX = 64
 
 
 @dataclass(frozen=True)
@@ -51,12 +40,11 @@ class UpperHalfPoint:
     """A point tau in the open upper half plane.
 
     Construction rejects Im(tau) <= 0.  Points with Im(tau) below
-    ``tau_min`` are accepted but marked degraded: series evaluations there
-    fall outside the validated accuracy regime.
+    ``TAU_IM_FLOOR`` are accepted but marked degraded: series evaluations
+    there fall outside the validated accuracy regime.
     """
 
     value: complex
-    tau_min: float = TAU_IM_FLOOR
 
     def __post_init__(self):
         v = complex(self.value)
@@ -67,7 +55,7 @@ class UpperHalfPoint:
     @property
     def degraded(self):
         """True when Im(tau) sits below the full-accuracy floor."""
-        return self.value.imag < self.tau_min
+        return self.value.imag < TAU_IM_FLOOR
 
     @property
     def on_imaginary_axis(self):
@@ -75,7 +63,7 @@ class UpperHalfPoint:
 
     def scaled(self, n):
         """The point n*tau (n > 0 keeps it in the upper half plane)."""
-        return UpperHalfPoint(n * self.value, self.tau_min)
+        return UpperHalfPoint(n * self.value)
 
 
 def nome(tau):
@@ -83,17 +71,17 @@ def nome(tau):
     return cmath.exp(2j * math.pi * tau.value)
 
 
-def _sum_integer_family(j, v, tau, cfg):
+def _sum_integer_family(j, v, tau):
     # theta3 (j=3) and theta0 (j=0): n = 0 term is 1, then +-n pairs.
     total = 1 + 0j
     below = 0
-    for n in range(1, cfg.max_index + 1):
+    for n in range(1, MAX_INDEX + 1):
         radial = cmath.exp(2j * math.pi * tau * (n * n))
         tp = radial * cmath.exp(2j * n * v)
         tm = radial * cmath.exp(-2j * n * v)
         pair = -(tp + tm) if (j == 0 and n % 2 == 1) else (tp + tm)
         total += pair
-        below = below + 1 if abs(pair) <= cfg.rel_tol * abs(total) else 0
+        below = below + 1 if abs(pair) <= REL_TOL * abs(total) else 0
         # A single tiny pair can be an accidental angular zero
         # (cos(2nv) ~ 0); two consecutive tiny pairs cannot be unless the
         # whole tail is negligible, so stop only then.
@@ -102,11 +90,11 @@ def _sum_integer_family(j, v, tau, cfg):
     return None
 
 
-def _sum_half_integer_family(j, v, tau, cfg):
+def _sum_half_integer_family(j, v, tau):
     # theta2 (j=2) and theta1 (j=1): pairs (n, -n-1), weight (n+1/2)^2.
     total = 0j
     below = 0
-    for n in range(0, cfg.max_index + 1):
+    for n in range(0, MAX_INDEX + 1):
         m = 2 * n + 1
         radial = cmath.exp(2j * math.pi * tau * (m * m / 4.0))
         tp = radial * cmath.exp(1j * m * v)
@@ -118,17 +106,18 @@ def _sum_half_integer_family(j, v, tau, cfg):
             pair = (-1) ** n * (-1j * tp + 1j * tm)
         total += pair
         if n >= 1:
-            below = below + 1 if abs(pair) <= cfg.rel_tol * abs(total) else 0
+            below = below + 1 if abs(pair) <= REL_TOL * abs(total) else 0
             if below >= 2:
                 return total
     return None
 
 
-def theta(j, v, tau, cfg=DEFAULT_CONFIG):
+def theta(j, v, tau):
     """Evaluate theta_j(v, tau) for j in {0, 1, 2, 3}.
 
-    Raises PrecisionError when max_index is exhausted before the pair
-    criterion is met; the error carries the degraded-accuracy flag of tau.
+    Raises PrecisionError when MAX_INDEX is exhausted before the pair
+    criterion is met, or when a term overflows; the error carries the
+    degraded-accuracy flag of tau.
     """
     if j not in (0, 1, 2, 3):
         raise DomainError(f"theta index must be one of 0,1,2,3, got {j}")
@@ -136,14 +125,20 @@ def theta(j, v, tau, cfg=DEFAULT_CONFIG):
     if not tval.imag > 0:
         raise DomainError(f"Im(tau) must be positive, got {tval}")
     v = complex(v)
-    if j in (3, 0):
-        total = _sum_integer_family(j, v, tval, cfg)
-    else:
-        total = _sum_half_integer_family(j, v, tval, cfg)
+    try:
+        if j in (3, 0):
+            total = _sum_integer_family(j, v, tval)
+        else:
+            total = _sum_half_integer_family(j, v, tval)
+    except OverflowError:
+        raise PrecisionError(
+            f"theta{j}(v={v}, tau={tval}) has a term beyond double range",
+            degraded=tau.degraded,
+        ) from None
     if total is None:
         raise PrecisionError(
             f"theta{j}(v={v}, tau={tval}) did not meet rel_tol="
-            f"{cfg.rel_tol} within max_index={cfg.max_index}",
+            f"{REL_TOL} within max_index={MAX_INDEX}",
             degraded=tau.degraded,
         )
     return total

@@ -116,6 +116,33 @@ def test_precision_error_carries_degraded_flag():
     assert doc["payload"]["degraded"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "nan,0"),
+        ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "inf,0"),
+        ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "1e200,0"),
+        ("theta", "--j", "3", "--v", "0,400", "--tau-im", "1"),
+        ("cb", "derivs", "--n", "3", "--tau-im", "150", "--order", "9"),
+    ],
+    ids=" ".join,
+)
+def test_numeric_edge_inputs_exit_two_with_one_document(argv):
+    code, out, err = invoke(*argv)
+    assert code == 2
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["status"] in ("parse_error", "domain_error", "precision_error")
+    assert doc["payload"]["error"]
+
+
+def test_series_flags_are_gone():
+    code, out, err = invoke("theta", "--j", "3", "--tau-im", "1", "--tol", "1e-8")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
+
+
 def test_unverified_limit_exits_one():
     # y = 0.4 is far from the trigonometric limit: a verification failure
     code, out, _ = invoke("landen", "limit", "--id", "n2_prod", "--y-large", "0.4")

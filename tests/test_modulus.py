@@ -63,14 +63,6 @@ def test_grotzsch_strictly_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_complete_elliptic_k_values():
-    # K(0) = pi/2; K(1/sqrt 2) known via AGM of 1 and 1/sqrt 2
-    assert modulus.complete_elliptic_k(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert modulus.complete_elliptic_k(1 / math.sqrt(2)) == pytest.approx(
-        1.8540746773013719, abs=1e-13
-    )
-
-
 # --- disk minus geodesic -----------------------------------------------------------------
 
 def test_geodesic_segment_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebdisk.errors import DomainError, PrecisionError
-from chebdisk.theta import DEFAULT_CONFIG, SeriesConfig, UpperHalfPoint, nome, theta
+from chebdisk.theta import UpperHalfPoint, nome, theta
 
 from helpers import (
     THETA3_AT_I,
@@ -34,13 +34,6 @@ def test_degraded_flag_below_floor():
     assert not uhp(0.06j).degraded
     low = uhp(0.01j)
     assert low.degraded  # construction succeeds, accuracy flag set
-
-
-def test_series_config_validation():
-    with pytest.raises(DomainError):
-        SeriesConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesConfig(max_index=4)
 
 
 # --- nome -------------------------------------------------------------------
@@ -92,11 +85,12 @@ def test_rejects_bad_index():
 
 
 def test_precision_error_when_index_cap_too_small():
-    cfg = SeriesConfig(rel_tol=1e-15, max_index=8)
-    low = UpperHalfPoint(0.02j)
+    # at Im(tau) = 0.001 the pairs still grow past the 64-pair cap
+    low = UpperHalfPoint(0.001j)
     with pytest.raises(PrecisionError) as err:
-        theta(3, 0.0, low, cfg)
+        theta(3, 0.0, low)
     assert err.value.degraded  # carries the accuracy flag of tau
+    assert "rel_tol=1e-15 within max_index=64" in str(err.value)
 
 
 def test_determinism_bit_identical():
