@@ -12,7 +12,6 @@ Usage:
 import argparse
 
 from chebdisk import (
-    EllipticContext,
     GeodesicSegment,
     UpperHalfPoint,
     build,
@@ -33,12 +32,12 @@ def main():
     worst = 0.0
     for n in range(1, args.max_n + 1):
         for y in grid:
-            tau = UpperHalfPoint(1j * y)
-            s = sqrt_k(EllipticContext(tau.scaled(n))).real
+            cb = build(n, UpperHalfPoint(1j * y))
+            s = sqrt_k(cb.nctx).real
             M = disk_minus_geodesic_modulus(GeodesicSegment(-s, s))
             dev = abs(M - n * y / 4.0)
             worst = max(worst, dev)
-            size = dessin_size(build(n, tau)) if n >= 2 else float("nan")
+            size = dessin_size(cb) if n >= 2 else float("nan")
             print(f"{n:2d} {y:6.2f} {M:14.10f} {n * y / 4.0:10.6f} {dev:10.2e} {size:9.5f}")
     print(f"\nworst deviation from n*Im(tau)/4: {worst:.3e}")
 

@@ -14,7 +14,6 @@ from .theta import UpperHalfPoint, nome, theta
 from .elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
 from .products import (
     ChebyshevBlaschke,
-    FiniteBlaschkeProduct,
     build,
     chebyshev_poly,
     compose_check,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import landen, modulus, monodromy, products
-from .elliptic import EllipticContext, cd, k_modulus, omega1, sqrt_k
+from .elliptic import EllipticContext, cd, omega1, sqrt_k
 from .theta import UpperHalfPoint, theta
 
 DEFAULT_SEED = 1729
@@ -148,11 +148,8 @@ def criterion_4_functional_definition():
     us = [0.05 + 1.95 * i / 19 for i in range(20)]
     for n in (2, 3, 4):
         for y in (0.5, 1.0):
-            tau = _uhp(1j * y)
-            ntau = tau.scaled(n)
-            ctx = EllipticContext(tau)
-            nctx = EllipticContext(ntau)
-            cb = products.build(n, tau)
+            cb = products.build(n, _uhp(1j * y))
+            ctx, nctx = cb.ctx, cb.nctx
             for u in us:
                 z = sqrt_k(ctx) * cd(omega1(ctx) * u, ctx)
                 lhs = products.eval_product(cb, z)
@@ -206,10 +203,9 @@ def criterion_7_critical_values():
     signs_ok = True
     for n in range(2, 12):
         for y in (0.3, 0.5, 1.0, 2.0):
-            tau = _uhp(1j * y)
-            cb = products.build(n, tau)
+            cb = products.build(n, _uhp(1j * y))
             vals = products.critical_values(cb)
-            ref = sqrt_k(EllipticContext(tau.scaled(n))).real
+            ref = sqrt_k(cb.nctx).real
             for v in vals:
                 worst = max(worst, min(abs(v - ref), abs(v + ref)) / ref)
             signs = {1 if v.real > 0 else -1 for v in vals}
@@ -229,10 +225,11 @@ def criterion_8_chebyshev_degeneration():
     tau = _uhp(10j)
     xs = [-1.0 + 2.0 * i / 20 for i in range(21)]
     for n in range(1, 7):
+        cb = products.build(n, tau)
         for x in xs:
             worst = max(
                 worst,
-                abs(products.elliptic_rational(n, tau, x) - products.chebyshev_poly(n, x)),
+                abs(products.elliptic_rational(cb, x) - products.chebyshev_poly(n, x)),
             )
     tol = 1e-8
     return CriterionResult(

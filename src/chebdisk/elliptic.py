@@ -11,6 +11,8 @@ cd is evaluated through the simplified right-hand quotient; the tests check
 cd*dn = cn against the separately evaluated cn and dn.
 """
 
+from functools import cached_property
+
 from .errors import DomainError, PoleError
 from .theta import theta
 
@@ -19,23 +21,41 @@ _NULL_FLOOR = 1e-300
 
 
 class EllipticContext:
-    """Caches the three theta nulls for a fixed tau.
+    """The theta nulls theta_j(0, tau), j = 0, 2, 3, at one fixed tau.
 
-    Immutable after construction; safe to share between threads.
+    The library reads every null through a context (the theta identity
+    criterion, which tests theta itself, aside).  Each null is evaluated on
+    first read and kept, so a caller pays only for the nulls it reads.  A
+    null is a deterministic function of tau: threads racing on a first read
+    store the same value, so a context is safe to share between threads.
+
+    Reading a null never raises.  theta2(0, tau) underflows below 1e-300
+    near Im(tau) = 440; the functions below that divide by a null raise
+    DomainError when it has vanished.
     """
 
     def __init__(self, tau):
         self.tau = tau
-        self.theta0_null = theta(0, 0.0, tau)
-        self.theta2_null = theta(2, 0.0, tau)
-        self.theta3_null = theta(3, 0.0, tau)
-        for name, val in (
-            ("theta0", self.theta0_null),
-            ("theta2", self.theta2_null),
-            ("theta3", self.theta3_null),
-        ):
-            if abs(val) < _NULL_FLOOR:
-                raise DomainError(f"{name}(0, tau) vanished at tau={tau.value}")
+
+    @cached_property
+    def theta0_null(self):
+        return theta(0, 0.0, self.tau)
+
+    @cached_property
+    def theta2_null(self):
+        return theta(2, 0.0, self.tau)
+
+    @cached_property
+    def theta3_null(self):
+        return theta(3, 0.0, self.tau)
+
+
+def _divisor(ctx, j):
+    """theta_j(0, tau) for use as a divisor; DomainError once it has vanished."""
+    val = getattr(ctx, f"theta{j}_null")
+    if abs(val) < _NULL_FLOOR:
+        raise DomainError(f"theta{j}(0, tau) vanished at tau={ctx.tau.value}")
+    return val
 
 
 def omega1(ctx):
@@ -45,16 +65,16 @@ def omega1(ctx):
 
 def k_modulus(ctx):
     """k(tau) = theta2(0)^2 / theta3(0)^2."""
-    return (ctx.theta2_null / ctx.theta3_null) ** 2
+    return (ctx.theta2_null / _divisor(ctx, 3)) ** 2
 
 
 def sqrt_k(ctx):
     """sqrt(k)(tau) = theta2(0)/theta3(0); its square is k_modulus exactly."""
-    return ctx.theta2_null / ctx.theta3_null
+    return ctx.theta2_null / _divisor(ctx, 3)
 
 
 def _theta_arg(u, ctx):
-    return complex(u) / omega1(ctx)
+    return complex(u) / _divisor(ctx, 3) ** 2
 
 
 def _quotient(num_j, den_j, w, ctx):
@@ -69,23 +89,27 @@ def _quotient(num_j, den_j, w, ctx):
 
 def sn(u, ctx):
     w = _theta_arg(u, ctx)
+    scale = ctx.theta3_null / _divisor(ctx, 2)
     num, den = _quotient(1, 0, w, ctx)
-    return ctx.theta3_null / ctx.theta2_null * num / den
+    return scale * num / den
 
 
 def cn(u, ctx):
     w = _theta_arg(u, ctx)
+    scale = ctx.theta0_null / _divisor(ctx, 2)
     num, den = _quotient(2, 0, w, ctx)
-    return ctx.theta0_null / ctx.theta2_null * num / den
+    return scale * num / den
 
 
 def dn(u, ctx):
     w = _theta_arg(u, ctx)
+    scale = ctx.theta0_null / _divisor(ctx, 3)
     num, den = _quotient(3, 0, w, ctx)
-    return ctx.theta0_null / ctx.theta3_null * num / den
+    return scale * num / den
 
 
 def cd(u, ctx):
     w = _theta_arg(u, ctx)
+    scale = ctx.theta3_null / _divisor(ctx, 2)
     num, den = _quotient(2, 3, w, ctx)
-    return ctx.theta3_null / ctx.theta2_null * num / den
+    return scale * num / den

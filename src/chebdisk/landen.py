@@ -12,9 +12,10 @@ each identity into an exact cosine identity.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .elliptic import k_modulus
 from .errors import DenominatorNearZero, DomainError
 from .products import build
-from .theta import UpperHalfPoint, theta
+from .theta import UpperHalfPoint
 
 IDENTITY_TOLERANCE = 1e-10
 TRIG_TOLERANCE = 1e-6
@@ -47,8 +48,6 @@ TRIG_TARGETS = {
     "n6_prod": Fraction(1, 32),
 }
 
-_SUM_IDS = ("n4_sum", "n5_sum", "n6_e1", "n6_e2")
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -78,47 +77,35 @@ def _report(identity_id, tau, lhs, rhs, tolerance):
     )
 
 
-def _nulls(tau):
-    return theta(2, 0.0, tau), theta(3, 0.0, tau)
-
-
 def _guard(num, den, what):
     if abs(den) < 1e-12 * max(1.0, abs(num)):
         raise DenominatorNearZero(f"{what}: denominator {den} degenerate")
 
 
-def landen_general(n, tau):
-    """Top-coefficient identity: prod b_i against its closed form.
+def verify_identity(identity_id, tau):
+    """Both sides of one catalog identity at tau.
 
-    Even n:  prod b_i = theta2(0, n tau) / theta3(0, n tau)
-    Odd n:   prod b_i = n theta2(0, n tau) theta3(0, n tau)
-                          / (theta2(0, tau) theta3(0, tau))
+    The lhs is S_j = e_j(b) of the degree-n product; the rhs is its closed
+    form in the theta nulls t2, t3 at tau and s2, s3 at n*tau.  The top
+    coefficient (j = floor(n/2)) has a closed form for every n:
+
+        even n:  prod b_i = s2 / s3
+        odd n:   prod b_i = n s2 s3 / (t2 t3)
+
+    and n4_sum, n5_sum, n6_e1, n6_e2 have closed forms of their own.
     """
-    if n < 2:
-        raise DomainError(f"identities start at n = 2, got {n}")
-    cb = build(n, tau)
-    lhs = cb.S[-1]
-    t2, t3 = _nulls(tau)
-    s2, s3 = _nulls(tau.scaled(n))
-    if n % 2 == 0:
-        rhs = s2 / s3
-    else:
-        rhs = n * s2 * s3 / (t2 * t3)
-    return _report(f"n{n}_prod", tau, lhs, rhs, IDENTITY_TOLERANCE)
-
-
-def landen_catalog(identity_id, tau):
-    """One of the lower-coefficient identities (n4_sum, n5_sum, n6_e1, n6_e2)."""
-    if identity_id not in _SUM_IDS:
-        raise DomainError(
-            f"unknown catalog id {identity_id!r}; expected one of {_SUM_IDS}"
-        )
+    if identity_id not in CATALOG:
+        raise DomainError(f"unknown identity id {identity_id!r}")
     n, j = CATALOG[identity_id]
     cb = build(n, tau)
     lhs = cb.S[j - 1]
-    t2, t3 = _nulls(tau)
-    s2, s3 = _nulls(tau.scaled(n))
-    if identity_id == "n4_sum":
+    s2, s3 = cb.nctx.theta2_null, cb.nctx.theta3_null
+    if j == n // 2 and n % 2 == 0:
+        return _report(identity_id, tau, lhs, s2 / s3, IDENTITY_TOLERANCE)
+    t2, t3 = cb.ctx.theta2_null, cb.ctx.theta3_null
+    if j == n // 2:
+        rhs = n * s2 * s3 / (t2 * t3)
+    elif identity_id == "n4_sum":
         num = s3**4 - s2**4
         den = s3 - s2
         _guard(num, den, identity_id)
@@ -144,16 +131,6 @@ def landen_catalog(identity_id, tau):
     return _report(identity_id, tau, lhs, rhs, IDENTITY_TOLERANCE)
 
 
-def verify_identity(identity_id, tau):
-    """Dispatch any catalog id, product identities included."""
-    if identity_id not in CATALOG:
-        raise DomainError(f"unknown identity id {identity_id!r}")
-    if identity_id in _SUM_IDS:
-        return landen_catalog(identity_id, tau)
-    n, _ = CATALOG[identity_id]
-    return landen_general(n, tau)
-
-
 def trig_limit(identity_id, y_large=30.0):
     """e_j / k(tau)^j at tau = i*y_large against the exact cosine constant."""
     if identity_id not in CATALOG:
@@ -161,9 +138,7 @@ def trig_limit(identity_id, y_large=30.0):
     n, j = CATALOG[identity_id]
     tau = UpperHalfPoint(complex(0.0, y_large))
     cb = build(n, tau)
-    t2, t3 = _nulls(tau)
-    k = (t2 / t3) ** 2
-    lhs = cb.S[j - 1] / k**j
+    lhs = cb.S[j - 1] / k_modulus(cb.ctx) ** j
     rhs = float(TRIG_TARGETS[identity_id])
     return _report(identity_id, tau, lhs, rhs, TRIG_TOLERANCE)
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
-from .theta import theta
 
 _AGM_REL_TOL = 1e-14
 
@@ -102,8 +101,8 @@ def dessin_size(cb):
         raise DomainError("dessin size is defined for n >= 2")
     if not cb.tau.on_imaginary_axis:
         raise DomainError("dessin size requires tau on the imaginary axis")
-    ntau = cb.tau.scaled(cb.n)
-    t0, t2, t3 = (theta(j, 0.0, ntau).real for j in (0, 2, 3))
+    nctx = cb.nctx
+    t0, t2, t3 = nctx.theta0_null.real, nctx.theta2_null.real, nctx.theta3_null.real
     sk = t2 / t3
     k = sk * sk
     k_comp = (t0 / t3) ** 2

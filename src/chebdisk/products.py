@@ -16,6 +16,7 @@ import cmath
 import json
 import math
 import sys
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -24,6 +25,7 @@ from .errors import (
     RootFindingError,
     SingularSystemError,
 )
+from .elliptic import EllipticContext, sqrt_k
 from .theta import UpperHalfPoint, theta
 
 _CRITICAL_MATCH_TOL = 1e-7  # relative to sqrt(k(n tau))
@@ -31,7 +33,12 @@ _PIVOT_FLOOR = 1e-12
 
 
 class ChebyshevBlaschke:
-    """Immutable value object: degree, parameter, zeros-squared, coefficients."""
+    """Immutable value object: degree, parameter, zeros-squared, coefficients.
+
+    ``ctx`` and ``nctx`` hold the theta nulls at tau and at n*tau, the two
+    points whose moduli sqrt(k(tau)) and sqrt(k(n tau)) define the product;
+    each is made on first read, and its nulls on their first reads.
+    """
 
     def __init__(self, n, tau, b, S, complex_tau=False):
         self.n = n
@@ -47,34 +54,13 @@ class ChebyshevBlaschke:
             f"b={self.b}, S={self.S})"
         )
 
+    @cached_property
+    def ctx(self):
+        return EllipticContext(self.tau)
 
-class FiniteBlaschkeProduct:
-    """Unimodular constant times a product of disk automorphism factors."""
-
-    def __init__(self, unimodular_constant, zeros):
-        c = complex(unimodular_constant)
-        if abs(abs(c) - 1.0) > 1e-14:
-            raise DomainError(f"constant must be unimodular, got |c|={abs(c)}")
-        zeros = tuple(complex(z) for z in zeros)
-        for z in zeros:
-            if abs(z) >= 1.0:
-                raise DomainError(f"zero {z} not inside the open unit disk")
-        self.unimodular_constant = c
-        self.zeros = zeros
-
-    @property
-    def degree(self):
-        return len(self.zeros)
-
-    def evaluate(self, z):
-        z = complex(z)
-        val = self.unimodular_constant
-        for w in self.zeros:
-            den = 1.0 - w.conjugate() * z
-            if abs(den) < 1e-14 * (1.0 + abs(w * z)):
-                raise PoleError(f"Blaschke factor denominator vanished at z={z}")
-            val *= (z - w) / den
-        return val
+    @cached_property
+    def nctx(self):
+        return EllipticContext(self.tau.scaled(self.n))
 
 
 def elementary_symmetric(values):
@@ -123,17 +109,6 @@ def build(n, tau, allow_complex_tau=False):
     else:
         b = raw
     return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b), not on_axis)
-
-
-def to_blaschke(cb):
-    """The induced FiniteBlaschkeProduct; carries exactly n zeros."""
-    zeros = [0.0] * cb.parity
-    for bi in cb.b:
-        root = cmath.sqrt(bi)
-        zeros.extend([root, -root])
-    fbp = FiniteBlaschkeProduct(1.0, zeros)
-    assert fbp.degree == cb.n
-    return fbp
 
 
 def eval_product(cb, z):
@@ -190,16 +165,12 @@ def chebyshev_poly(n, x):
     return cur
 
 
-def elliptic_rational(n, tau, z):
+def elliptic_rational(cb, z):
     """T_{n,tau}(z) = f_{n,tau}(sqrt(k(tau)) z) / sqrt(k(n tau))."""
-    cb = build(n, tau)
-    sk_t = theta(2, 0.0, tau) / theta(3, 0.0, tau)
-    ntau = tau.scaled(n)
-    sk_nt = theta(2, 0.0, ntau) / theta(3, 0.0, ntau)
-    w = sk_t * complex(z)
+    w = sqrt_k(cb.ctx) * complex(z)
     if abs(w) > 1.0 + 1e-12:
         raise DomainError(f"sqrt(k) z = {w} lies outside the closed unit disk")
-    return eval_product(cb, w) / sk_nt
+    return eval_product(cb, w) / sqrt_k(cb.nctx)
 
 
 def modulus_lambda(cb):
@@ -220,24 +191,12 @@ def normalized_modulus(cb):
 # derivatives at the origin
 # ---------------------------------------------------------------------------
 
-def field_generators(n, tau):
-    """(sqrt_k(tau), sqrt_k(n tau), omega1(n tau)/omega1(tau)).
-
-    Every derivative of f at 0 is a rational expression in these three
-    numbers; the closed forms and the recurrence below consume nothing else.
-    """
-    t2 = theta(2, 0.0, tau)
-    t3 = theta(3, 0.0, tau)
-    ntau = tau.scaled(n)
-    s2 = theta(2, 0.0, ntau)
-    s3 = theta(3, 0.0, ntau)
-    return t2 / t3, s2 / s3, (s3 / t3) ** 2
-
-
 def closed_derivatives(n, generators):
     """Orders 0..5 of f at 0 from the closed forms; generic in number type.
 
-    Opposite-parity orders are exactly zero.
+    ``generators`` is (sqrt_k(tau), sqrt_k(n tau), omega1(n tau)/omega1(tau)):
+    every derivative of f at 0 is a rational expression in these three
+    numbers.  Opposite-parity orders are exactly zero.
     """
     skt, sknt, R = generators
     zero = skt * 0
@@ -315,7 +274,9 @@ def derivatives_at_zero(n, tau, top):
     """f^{(i)}(0) for i = 0..top via closed forms then the recurrence."""
     if n == 1:
         return {i: (1.0 + 0j if i == 1 else 0j) for i in range(top + 1)}
-    gens = field_generators(n, tau)
+    ctx = EllipticContext(tau)
+    nctx = EllipticContext(tau.scaled(n))
+    gens = sqrt_k(ctx), sqrt_k(nctx), (nctx.theta3_null / ctx.theta3_null) ** 2
     if abs(gens[0]) ** 5 < sys.float_info.min:
         raise DomainError(
             f"sqrt(k(tau)) = {gens[0]} underflows in the closed forms' "
@@ -371,18 +332,6 @@ def series_long_division(num, den, order):
         for j in range(1, len(den)):
             if k + j < len(acc):
                 acc[k + j] = acc[k + j] - ck * den[j]
-    return out
-
-
-def taylor_coefficients(cb, order):
-    """Taylor coefficients of f at 0 by long division of the expanded form."""
-    num, den = _expanded_coefficients(cb.S)
-    even = series_long_division(num, den, order // 2 + 1)
-    out = [0j] * (order + 1)
-    for k, c in enumerate(even):
-        deg = 2 * k + cb.parity
-        if deg <= order:
-            out[deg] = complex(c)
     return out
 
 
@@ -472,8 +421,7 @@ def critical_values(cb):
     """
     if cb.n < 2:
         raise NoCriticalValues("f(z) = z has no critical point in the disk")
-    ntau = cb.tau.scaled(cb.n)
-    ref = theta(2, 0.0, ntau) / theta(3, 0.0, ntau)
+    ref = sqrt_k(cb.nctx)
     values = {}
     for j in range(1, cb.n):
         v = j * math.pi / cb.n

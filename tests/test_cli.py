@@ -187,6 +187,20 @@ def test_cli_import_leaves_mpmath_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_acceptance_out():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, chebdisk.cli; print('chebdisk.acceptance' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_monodromy_commands():
     result = run_cli("monodromy", "analyze", "--sigma1", "(1 2)", "--sigma2", "(2 3)")
     assert result.payload["tree"] is True

@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 
 from chebdisk.elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
-from chebdisk.errors import PoleError
+from chebdisk.errors import DomainError, PoleError
 from chebdisk.theta import UpperHalfPoint
 
 from helpers import (
@@ -100,3 +101,18 @@ def test_pole_raises():
         sn(math.pi * 0.5j * om, ctx)
     with pytest.raises(PoleError):
         cd((math.pi / 2 + math.pi * 0.5j) * om, ctx)
+
+
+def test_vanished_null_raises_where_it_divides():
+    # theta2(0, 500i) underflows; sn, cn and cd divide by it
+    ctx = ctx_at(500)
+    message = re.escape("theta2(0, tau) vanished at tau=500j")
+    for fn in (sn, cn, cd):
+        with pytest.raises(DomainError, match=message):
+            fn(0.7, ctx)
+
+
+def test_context_constructs_where_a_null_is_subnormal():
+    ctx = EllipticContext(UpperHalfPoint(460j))
+    assert 0.0 < abs(ctx.theta2_null) < 1e-300
+    assert abs(sqrt_k(ctx)) < 1e-300

@@ -18,28 +18,27 @@ def uhp(y):
 
 
 def test_general_identity_examples():
-    assert landen.landen_general(2, uhp(1.0)).residual <= 1e-12
-    assert landen.landen_general(3, uhp(0.5)).passed
-    assert landen.landen_general(6, uhp(1.0)).passed
+    assert landen.verify_identity("n2_prod", uhp(1.0)).residual <= 1e-12
+    assert landen.verify_identity("n3_prod", uhp(0.5)).passed
+    assert landen.verify_identity("n6_prod", uhp(1.0)).passed
 
 
 def test_general_identity_rejects_degree_one():
     with pytest.raises(DomainError):
-        landen.landen_general(1, uhp(1.0))
+        landen.verify_identity("n1_prod", uhp(1.0))
 
 
 @pytest.mark.parametrize("identity_id", ["n4_sum", "n5_sum", "n6_e1", "n6_e2"])
 def test_catalog_examples(identity_id):
     for y in (0.5, 1.0):
-        report = landen.landen_catalog(identity_id, uhp(y))
+        report = landen.verify_identity(identity_id, uhp(y))
         assert report.passed, report
 
 
-def test_catalog_rejects_product_ids():
-    with pytest.raises(DomainError):
-        landen.landen_catalog("n2_prod", uhp(1.0))
-    with pytest.raises(DomainError):
-        landen.verify_identity("n7_prod", uhp(1.0))
+def test_verify_identity_rejects_unknown_ids():
+    for identity_id in ("n7_prod", "n5_e2", "n4_prod "):
+        with pytest.raises(DomainError):
+            landen.verify_identity(identity_id, uhp(1.0))
 
 
 def test_full_catalog_over_grid():

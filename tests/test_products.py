@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebdisk import products
+from chebdisk import elliptic, products
 from chebdisk.elliptic import EllipticContext, sqrt_k
 from chebdisk.errors import DomainError, NoCriticalValues
 from chebdisk.theta import UpperHalfPoint, theta
@@ -66,18 +66,12 @@ def test_squared_zeros_strictly_decreasing():
 def test_induced_blaschke_product_has_n_zeros():
     for n in (1, 2, 5, 8):
         cb = products.build(n, uhp(1.0))
-        fbp = products.to_blaschke(cb)
-        assert fbp.degree == n
-        # the two evaluation routes describe the same function
-        for z in (0.2, 0.5j, -0.4 + 0.3j):
-            assert abs(fbp.evaluate(z) - products.eval_product(cb, z)) < 1e-13
-
-
-def test_blaschke_validation():
-    with pytest.raises(DomainError):
-        products.FiniteBlaschkeProduct(2.0, [0.1])
-    with pytest.raises(DomainError):
-        products.FiniteBlaschkeProduct(1.0, [1.5])
+        zeros = [0.0] * cb.parity
+        for bi in cb.b:
+            zeros += [math.sqrt(bi), -math.sqrt(bi)]
+        assert len(zeros) == n
+        for z in zeros:
+            assert abs(products.eval_product(cb, z)) < 1e-13
 
 
 # --- evaluation -------------------------------------------------------------
@@ -137,19 +131,36 @@ def test_chebyshev_poly_values():
 def test_elliptic_rational_at_one():
     for n in (1, 2, 3, 4):
         for y in (0.5, 1.0):
-            val = products.elliptic_rational(n, uhp(y), 1.0)
+            val = products.elliptic_rational(products.build(n, uhp(y)), 1.0)
             assert abs(val - 1.0) < 1e-9
 
 
 def test_elliptic_rational_degenerations():
-    assert abs(products.elliptic_rational(4, uhp(10.0), 0.5) - (-0.5)) < 1e-8
-    assert abs(products.elliptic_rational(2, uhp(20.0), 0.0) - (-1.0)) < 1e-10
+    cb4 = products.build(4, uhp(10.0))
+    cb2 = products.build(2, uhp(20.0))
+    assert abs(products.elliptic_rational(cb4, 0.5) - (-0.5)) < 1e-8
+    assert abs(products.elliptic_rational(cb2, 0.0) - (-1.0)) < 1e-10
 
 
 # --- derivatives at zero ------------------------------------------------------
 
+def generators(n, tau):
+    """(sqrt_k(tau), sqrt_k(n tau), omega1(n tau)/omega1(tau)) from contexts."""
+    ctx = EllipticContext(tau)
+    nctx = EllipticContext(tau.scaled(n))
+    return sqrt_k(ctx), sqrt_k(nctx), (nctx.theta3_null / ctx.theta3_null) ** 2
+
+
 def closed(n, tau):
-    return products.closed_derivatives(n, products.field_generators(n, tau))
+    return products.closed_derivatives(n, generators(n, tau))
+
+
+def series_coefficient(cb, order):
+    """The z^order Taylor coefficient of f at 0, by long division of the
+    expanded form."""
+    num, den = products._expanded_coefficients(cb.S)
+    even = products.series_long_division(num, den, order // 2)
+    return complex(even[(order - cb.parity) // 2])
 
 
 def test_closed_forms_parity_zeros():
@@ -160,24 +171,23 @@ def test_closed_forms_parity_zeros():
 
 def test_closed_form_against_series():
     cb = products.build(2, uhp(0.5))
-    coeffs = products.taylor_coefficients(cb, 4)
-    assert rel_err(complex(closed(2, uhp(0.5))[2]), 2.0 * coeffs[2]) <= 1e-9
+    series = series_coefficient(cb, 2)
+    assert rel_err(complex(closed(2, uhp(0.5))[2]), 2.0 * series) <= 1e-9
 
 
 def test_recurrence_against_series():
     for n, y, order in ((2, 0.5, 6), (3, 1.0, 7)):
         tau = uhp(y)
         lower = products.derivatives_at_zero(n, tau, order - 2)
-        gens = products.field_generators(n, tau)
+        gens = generators(n, tau)
         nxt = complex(products.recurrence_step(n, order - 2, lower, gens))
-        cb = products.build(n, tau)
-        coeffs = products.taylor_coefficients(cb, order)
-        assert rel_err(nxt, math.factorial(order) * coeffs[order]) <= 1e-8
+        series = series_coefficient(products.build(n, tau), order)
+        assert rel_err(nxt, math.factorial(order) * series) <= 1e-8
 
 
 def test_recurrence_parity_mismatch():
     with pytest.raises(DomainError):
-        products.recurrence_step(2, 5, {}, products.field_generators(2, uhp(1.0)))
+        products.recurrence_step(2, 5, {}, generators(2, uhp(1.0)))
 
 
 def test_field_generator_arity():
@@ -242,7 +252,8 @@ def test_singular_system_raises():
 
 def test_elliptic_rational_domain_guard():
     with pytest.raises(DomainError):
-        products.elliptic_rational(3, uhp(0.4), 5.0)  # sqrt(k) z leaves the disk
+        # sqrt(k) z leaves the disk
+        products.elliptic_rational(products.build(3, uhp(0.4)), 5.0)
 
 
 def test_modulus_lambda_requires_imaginary_axis():
@@ -301,6 +312,23 @@ def test_critical_values_against_oracle():
                     terms.append(1 / z)
                 scale = max(1.0, sum(abs(t) for t in terms))
                 assert abs(sum(terms)) <= 1e-9 * scale, (n, y, j)
+
+
+def test_critical_values_leave_the_nulls_at_n_tau_on_the_product(monkeypatch):
+    cb = products.build(5, uhp(1.0))
+    products.critical_values(cb)
+    calls = []
+    real_theta = elliptic.theta
+
+    def counted(*args):
+        calls.append(args)
+        return real_theta(*args)
+
+    monkeypatch.setattr(elliptic, "theta", counted)
+    sqrt_k(cb.nctx)
+    assert calls == []
+    sqrt_k(EllipticContext(cb.tau.scaled(5)))  # a fresh context does evaluate
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n,y", [(10, 2.0), (13, 1.0), (18, 0.3), (26, 0.5), (4, 0.05), (7, 0.1)])
