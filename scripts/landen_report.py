@@ -18,7 +18,7 @@ def main():
         default=",".join(str(y) for y in landen.DEFAULT_TAU_GRID),
         help="comma-separated Im(tau) values",
     )
-    parser.add_argument("--y-large", type=float, default=30.0)
+    parser.add_argument("--y-large", type=float, default=landen.Y_LARGE)
     args = parser.parse_args()
     grid = tuple(float(tok) for tok in args.grid.split(","))
 

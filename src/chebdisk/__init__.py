@@ -10,7 +10,7 @@ Submodules:
     acceptance criteria runners backing `chebdisk verify-all`
 """
 
-from .theta import UpperHalfPoint, nome, theta
+from .theta import UpperHalfPoint, theta
 from .elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
 from .products import (
     ChebyshevBlaschke,

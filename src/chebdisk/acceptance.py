@@ -190,7 +190,7 @@ def criterion_6_coefficient_oracles():
                 scale = abs(a)
                 worst = max(worst, abs(a - b) / scale, abs(a - c) / scale,
                             abs(b - c) / scale)
-    tol = 1e-8
+    tol = products.COEFFICIENT_TOLERANCE
     return CriterionResult(
         6, "coefficient triple-oracle", worst <= tol, worst, tol,
         "n <= 10, tau in {i/2, i, 2i}, pairwise relative",
@@ -343,7 +343,7 @@ def criterion_11_landen_catalog():
     for report in landen.run_catalog():
         worst_id = max(worst_id, report.residual)
     worst_trig = 0.0
-    for report in landen.run_trig_limits(30.0):
+    for report in landen.run_trig_limits():
         worst_trig = max(worst_trig, report.residual)
     passed = worst_id <= landen.IDENTITY_TOLERANCE and worst_trig <= landen.TRIG_TOLERANCE
     return CriterionResult(

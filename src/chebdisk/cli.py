@@ -141,6 +141,12 @@ def _cmd_cb_coeffs(args):
     residual = max(
         abs(a - b) / abs(a) for a, b in zip(cb.S, s_der)
     )
+    if not residual <= products.COEFFICIENT_TOLERANCE:
+        raise PrecisionError(
+            f"derivative-route coefficients miss S by relative {residual:.3e}, "
+            f"beyond {products.COEFFICIENT_TOLERANCE}",
+            degraded=tau.degraded,
+        )
     payload = {
         "n": cb.n,
         "tau_im": tau.value.imag,
@@ -417,11 +423,9 @@ def build_parser():
     p.set_defaults(handler=_cmd_landen_verify)
     p = lan.add_parser("limit")
     p.add_argument("--id", required=True, choices=sorted(landen.CATALOG))
-    p.add_argument("--y-large", type=float, default=30.0)
-    _add_tau_flags(p)
+    p.add_argument("--y-large", type=float, default=landen.Y_LARGE)
     p.set_defaults(handler=_cmd_landen_limit)
     p = lan.add_parser("all")
-    _add_tau_flags(p)
     p.set_defaults(handler=_cmd_landen_all)
 
     p = sub.add_parser("verify-all", help="run the acceptance criteria")

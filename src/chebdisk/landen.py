@@ -21,6 +21,8 @@ IDENTITY_TOLERANCE = 1e-10
 TRIG_TOLERANCE = 1e-6
 
 DEFAULT_TAU_GRID = (0.4, 0.5, 0.75, 1.0, 1.5, 2.0)
+# Im(tau) at which the trigonometric limits are evaluated.
+Y_LARGE = 30.0
 
 # id -> (degree, symmetric-polynomial index)
 CATALOG = {
@@ -131,7 +133,7 @@ def verify_identity(identity_id, tau):
     return _report(identity_id, tau, lhs, rhs, IDENTITY_TOLERANCE)
 
 
-def trig_limit(identity_id, y_large=30.0):
+def trig_limit(identity_id, y_large=Y_LARGE):
     """e_j / k(tau)^j at tau = i*y_large against the exact cosine constant."""
     if identity_id not in CATALOG:
         raise DomainError(f"unknown identity id {identity_id!r}")
@@ -143,14 +145,14 @@ def trig_limit(identity_id, y_large=30.0):
     return _report(identity_id, tau, lhs, rhs, TRIG_TOLERANCE)
 
 
-def run_catalog(tau_ims=DEFAULT_TAU_GRID):
-    """Every catalog identity over the grid, ordered by (id, tau)."""
+def run_catalog():
+    """Every catalog identity over DEFAULT_TAU_GRID, ordered by (id, tau)."""
     out = []
     for identity_id in sorted(CATALOG):
-        for y in sorted(tau_ims):
+        for y in sorted(DEFAULT_TAU_GRID):
             out.append(verify_identity(identity_id, UpperHalfPoint(1j * y)))
     return out
 
 
-def run_trig_limits(y_large=30.0):
-    return [trig_limit(identity_id, y_large) for identity_id in sorted(CATALOG)]
+def run_trig_limits():
+    return [trig_limit(identity_id) for identity_id in sorted(CATALOG)]

@@ -99,8 +99,6 @@ def dessin_size(cb):
     """
     if cb.n < 2:
         raise DomainError("dessin size is defined for n >= 2")
-    if not cb.tau.on_imaginary_axis:
-        raise DomainError("dessin size requires tau on the imaginary axis")
     nctx = cb.nctx
     t0, t2, t3 = nctx.theta0_null.real, nctx.theta2_null.real, nctx.theta3_null.real
     sk = t2 / t3

@@ -30,23 +30,34 @@ from .theta import UpperHalfPoint, theta
 
 _CRITICAL_MATCH_TOL = 1e-7  # relative to sqrt(k(n tau))
 _PIVOT_FLOOR = 1e-12
+# Pairwise relative agreement of the coefficient routes (criterion 6, cb coeffs).
+COEFFICIENT_TOLERANCE = 1e-8
+
+
+def _axis_height(tau):
+    """Im(tau) for tau on the positive imaginary axis, the only tau a
+    product is defined at; DomainError for any other point."""
+    if not tau.on_imaginary_axis:
+        raise DomainError(f"tau={tau.value} is off the imaginary axis")
+    return tau.value.imag
 
 
 class ChebyshevBlaschke:
     """Immutable value object: degree, parameter, zeros-squared, coefficients.
 
-    ``ctx`` and ``nctx`` hold the theta nulls at tau and at n*tau, the two
-    points whose moduli sqrt(k(tau)) and sqrt(k(n tau)) define the product;
-    each is made on first read, and its nulls on their first reads.
+    tau must lie on the positive imaginary axis.  ``ctx`` and ``nctx`` hold
+    the theta nulls at tau and at n*tau, the two points whose moduli
+    sqrt(k(tau)) and sqrt(k(n tau)) define the product; each is made on
+    first read, and its nulls on their first reads.
     """
 
-    def __init__(self, n, tau, b, S, complex_tau=False):
+    def __init__(self, n, tau, b, S):
+        _axis_height(tau)
         self.n = n
         self.tau = tau
         self.b = tuple(b)
         self.S = tuple(S)
         self.parity = n % 2
-        self.complex_tau = complex_tau
 
     def __repr__(self):
         return (
@@ -74,41 +85,31 @@ def elementary_symmetric(values):
     return e[1:]
 
 
-def build(n, tau, allow_complex_tau=False):
+def build(n, tau):
     """Construct the degree-n Chebyshev-Blaschke product at tau.
 
-    On the default path tau must lie on the positive imaginary axis; the
-    b_i are then validated to be real, inside (0,1), and strictly
-    decreasing (checked for n <= 16).  ``allow_complex_tau`` admits any
-    upper-half-plane tau without those assertions.
+    tau must lie on the positive imaginary axis; the b_i are validated to
+    be real, inside (0,1), and strictly decreasing (checked for n <= 16).
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    on_axis = tau.on_imaginary_axis
-    if not on_axis and not allow_complex_tau:
-        raise DomainError(
-            f"tau={tau.value} is off the imaginary axis; "
-            "pass allow_complex_tau=True to relax"
-        )
+    _axis_height(tau)
     raw = []
     for i in range(1, n // 2 + 1):
         v = (2 * i - 1) * math.pi / (2 * n)
         q2 = theta(2, v, tau)
         q3 = theta(3, v, tau)
         raw.append((q2 / q3) ** 2)
-    if on_axis:
-        b = []
-        for bi in raw:
-            if not (0.0 < bi.real < 1.0) or abs(bi.imag) > 1e-13 * abs(bi):
-                raise DomainError(f"squared zero {bi} outside (0,1)")
-            b.append(bi.real)
-        if n <= 16:
-            for lo, hi in zip(b[1:], b[:-1]):
-                if not lo < hi:
-                    raise DomainError(f"squared zeros not strictly decreasing: {b}")
-    else:
-        b = raw
-    return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b), not on_axis)
+    b = []
+    for bi in raw:
+        if not (0.0 < bi.real < 1.0) or abs(bi.imag) > 1e-13 * abs(bi):
+            raise DomainError(f"squared zero {bi} outside (0,1)")
+        b.append(bi.real)
+    if n <= 16:
+        for lo, hi in zip(b[1:], b[:-1]):
+            if not lo < hi:
+                raise DomainError(f"squared zeros not strictly decreasing: {b}")
+    return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b))
 
 
 def eval_product(cb, z):
@@ -175,15 +176,11 @@ def elliptic_rational(cb, z):
 
 def modulus_lambda(cb):
     """The product's modulus in the n*pi*Im(tau)/4 normalization."""
-    if not cb.tau.on_imaginary_axis:
-        raise DomainError("modulus is defined for tau on the imaginary axis")
     return cb.n * math.pi * cb.tau.value.imag / 4.0
 
 
 def normalized_modulus(cb):
     """Same quantity under the (1/2 pi) log(1/r) annulus convention: n*Im(tau)/4."""
-    if not cb.tau.on_imaginary_axis:
-        raise DomainError("modulus is defined for tau on the imaginary axis")
     return cb.n * cb.tau.value.imag / 4.0
 
 
@@ -294,16 +291,16 @@ def derivatives_at_zero(n, tau, top):
 # coefficient oracles
 # ---------------------------------------------------------------------------
 
-def solve_partial_pivoting(A, rhs, pivot_floor=_PIVOT_FLOOR):
+def solve_partial_pivoting(A, rhs):
     """Gaussian elimination with partial pivoting; generic in number type."""
     m = len(rhs)
     A = [row[:] for row in A]
     rhs = rhs[:]
     for col in range(m):
         piv = max(range(col, m), key=lambda r: abs(A[r][col]))
-        if abs(A[piv][col]) < pivot_floor:
+        if abs(A[piv][col]) < _PIVOT_FLOOR:
             raise SingularSystemError(
-                f"pivot {abs(A[piv][col])} below {pivot_floor} in column {col}"
+                f"pivot {abs(A[piv][col])} below {_PIVOT_FLOOR} in column {col}"
             )
         if piv != col:
             A[col], A[piv] = A[piv], A[col]
@@ -347,12 +344,6 @@ def _coefficient_system(n, a):
     return A, rhs
 
 
-def _to_real_list(values, tau):
-    if tau.on_imaginary_axis:
-        return [float(v.real if hasattr(v, "real") else v) for v in values]
-    return [complex(v) for v in values]
-
-
 def coefficients_from_derivatives(n, tau, dps=60):
     """S_{n,j} from the derivative closed forms + recurrence + linear solve.
 
@@ -360,6 +351,7 @@ def coefficients_from_derivatives(n, tau, dps=60):
     reconstructs coefficients up to ~20 decimal orders smaller than its
     intermediate terms, which doubles cannot survive.
     """
+    y = _axis_height(tau)
     if n < 2:
         raise DomainError(f"coefficient system needs n >= 2, got {n}")
     import mpmath as mp
@@ -367,25 +359,23 @@ def coefficients_from_derivatives(n, tau, dps=60):
 
     m = n // 2
     with mp.workdps(dps):
-        gens = _mpkernel.field_generators_mp(n, tau.value)
+        gens = _mpkernel.field_generators_mp(n, y)
         vals = closed_derivatives(n, gens)
         i = 4 if n % 2 == 0 else 5
         while i + 2 <= n + 2 * m:
             vals[i + 2] = recurrence_step(n, i, vals, gens)
             i += 2
-        zero = mp.mpc(0)
-        a = {
-            order: vals.get(order, zero) / math.factorial(order)
-            for order in range(0, n + 2 * m + 1)
-        }
+        # the system reads only orders of n's parity, and vals holds them all
+        a = {order: v / math.factorial(order) for order, v in vals.items()}
         A, rhs = _coefficient_system(n, a)
         S = solve_partial_pivoting(A, rhs)
-    return _to_real_list(S, tau)
+    return [float(v.real) for v in S]
 
 
 def coefficients_from_longdivision(n, tau, dps=60):
     """S_{n,j} recovered from long-division Taylor coefficients of the
     expanded form; independent of the closed forms and the recurrence."""
+    y = _axis_height(tau)
     if n < 2:
         raise DomainError(f"coefficient system needs n >= 2, got {n}")
     import mpmath as mp
@@ -394,17 +384,13 @@ def coefficients_from_longdivision(n, tau, dps=60):
     m = n // 2
     p = n % 2
     with mp.workdps(dps):
-        b = _mpkernel.squared_zero_parameters_mp(n, tau.value)
+        b = _mpkernel.squared_zero_parameters_mp(n, y)
         num, den = _expanded_coefficients(elementary_symmetric(b))
         even = series_long_division(num, den, (n + 2 * m - p) // 2 + 1)
-        a = {}
-        for k, c in enumerate(even):
-            a[2 * k + p] = c
-        for order in range(0, n + 2 * m + 1):
-            a.setdefault(order, mp.mpc(0))
+        a = {2 * k + p: c for k, c in enumerate(even)}
         A, rhs = _coefficient_system(n, a)
         S = solve_partial_pivoting(A, rhs)
-    return _to_real_list(S, tau)
+    return [float(v.real) for v in S]
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +427,11 @@ def critical_values(cb):
 # composition
 # ---------------------------------------------------------------------------
 
-def _interior_grid(count=50):
-    radii = (0.15, 0.35, 0.55, 0.75, 0.9)
-    per = count // len(radii)
+def _interior_grid():
+    """Ten points on each of five circles, each circle turned a little."""
+    per = 10
     pts = []
-    for ri, r in enumerate(radii):
+    for ri, r in enumerate((0.15, 0.35, 0.55, 0.75, 0.9)):
         for j in range(per):
             ang = 2.0 * math.pi * j / per + 0.1 * (ri + 1)
             pts.append(r * cmath.exp(1j * ang))
@@ -483,8 +469,6 @@ def compose_check(m, n, tau):
 def serialize(cb):
     """One-line JSON record {n, tau_im, b, S, parity}; floats survive
     round-trip exactly (17 significant digits)."""
-    if not cb.tau.on_imaginary_axis:
-        raise DomainError("serialization covers tau on the imaginary axis only")
     fields = [
         f'"n": {cb.n}',
         f'"tau_im": {cb.tau.value.imag:.17g}',

@@ -66,11 +66,6 @@ class UpperHalfPoint:
         return UpperHalfPoint(n * self.value)
 
 
-def nome(tau):
-    """q = e^{2 pi i tau}; always inside the unit disk."""
-    return cmath.exp(2j * math.pi * tau.value)
-
-
 def _sum_integer_family(j, v, tau):
     # theta3 (j=3) and theta0 (j=0): n = 0 term is 1, then +-n pairs.
     total = 1 + 0j

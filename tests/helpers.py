@@ -1,10 +1,13 @@
 """Shared test oracles.
 
-mpmath.jtheta is an independent implementation of the theta series; with
-q = e^{2 pi i tau} it matches this package's convention whenever
-Re(tau) in (-1/2, 1/2], where the principal branch of q^{1/4} coincides
-with e^{pi i tau / 2}.  Frozen constants below were produced at 40 digits
-from the defining series (see tests for their single points of use).
+mpmath.jtheta is an implementation of the theta series independent of
+the double-precision kernel in chebdisk.theta; with q = e^{2 pi i tau} it
+matches this package's convention whenever Re(tau) in (-1/2, 1/2], where
+the principal branch of q^{1/4} coincides with e^{pi i tau / 2}.  The
+coefficient oracles evaluate theta through jtheta too, so tests check them
+against the double kernel (tests/test_mpkernel.py), not against this
+helper.  Frozen constants below were produced at 40 digits from the
+defining series (see tests for their single points of use).
 """
 
 import mpmath as mp

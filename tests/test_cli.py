@@ -39,6 +39,17 @@ def test_cb_coeffs_example():
     assert result.payload["cross_check_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "n, tau_im", [(2, "30"), (12, "4"), (8, "7")], ids=lambda v: str(v)
+)
+def test_cb_coeffs_off_derivative_route_is_precision_error(n, tau_im):
+    # the derivative route misses S here (residual 1, 0.2 and 7e11)
+    result = run_cli("cb", "coeffs", "--n", str(n), "--tau-im", tau_im)
+    assert result.status == "precision_error" and result.exit_code == 2
+    assert "S_derivative_route" not in result.payload
+    assert "beyond 1e-08" in result.payload["error"]
+
+
 def test_landen_bare_alias():
     result = run_cli("landen", "--id", "n4_sum", "--tau-im", "1.0")
     assert result.status == "ok" and result.exit_code == 0
@@ -150,6 +161,16 @@ def test_unverified_limit_exits_one():
     doc = json.loads(out)
     assert doc["status"] == "verification_failure"
     assert doc["payload"]["pass"] is False
+
+
+@pytest.mark.parametrize("command", ["limit", "all"])
+def test_landen_limit_and_all_take_no_tau(command):
+    argv = ["landen", command] + (["--id", "n2_prod"] if command == "limit" else [])
+    for flags in (["--tau-im", "7"], ["--tau", "0,7"]):
+        code, out, err = invoke(*argv, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_missing_tau_is_parse_error():

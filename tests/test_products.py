@@ -48,11 +48,16 @@ def test_build_degree_four_product_identity():
     assert rel_err(cb.S[1], S2_4_AT_I) < 1e-13
 
 
-def test_build_rejects_off_axis_without_flag():
-    with pytest.raises(DomainError):
-        products.build(3, UpperHalfPoint(0.2 + 1j))
-    cb = products.build(3, UpperHalfPoint(0.2 + 1j), allow_complex_tau=True)
-    assert cb.complex_tau
+def test_build_rejects_off_axis_without_flag(monkeypatch):
+    def theta_off_axis(*args):
+        raise AssertionError("build evaluated theta before the axis check")
+
+    off = UpperHalfPoint(0.2 + 1j)
+    monkeypatch.setattr(products, "theta", theta_off_axis)
+    with pytest.raises(DomainError, match="off the imaginary axis"):
+        products.build(3, off)
+    with pytest.raises(DomainError, match="off the imaginary axis"):
+        products.ChebyshevBlaschke(3, off, [0.5], [0.5])
 
 
 def test_squared_zeros_strictly_decreasing():
@@ -254,14 +259,6 @@ def test_elliptic_rational_domain_guard():
     with pytest.raises(DomainError):
         # sqrt(k) z leaves the disk
         products.elliptic_rational(products.build(3, uhp(0.4)), 5.0)
-
-
-def test_modulus_lambda_requires_imaginary_axis():
-    cb = products.build(2, UpperHalfPoint(0.1 + 1j), allow_complex_tau=True)
-    with pytest.raises(DomainError):
-        products.modulus_lambda(cb)
-    with pytest.raises(DomainError):
-        products.serialize(cb)
 
 
 # --- critical values ----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebdisk.errors import DomainError, PrecisionError
-from chebdisk.theta import UpperHalfPoint, nome, theta
+from chebdisk.theta import UpperHalfPoint, theta
 
 from helpers import (
     THETA3_AT_I,
@@ -34,17 +34,6 @@ def test_degraded_flag_below_floor():
     assert not uhp(0.06j).degraded
     low = uhp(0.01j)
     assert low.degraded  # construction succeeds, accuracy flag set
-
-
-# --- nome -------------------------------------------------------------------
-
-def test_nome_values():
-    assert abs(nome(uhp(1j)) - math.exp(-2 * math.pi)) < 1e-18
-    assert abs(nome(uhp(0.5j)) - math.exp(-math.pi)) < 1e-16
-    # period 1 in Re(tau): same value at tau and tau + 1
-    assert abs(nome(uhp(1 + 1j)) - nome(uhp(1j))) < 1e-18
-    for t in GRID:
-        assert abs(nome(uhp(t))) < 1.0
 
 
 # --- series values ----------------------------------------------------------
