@@ -20,10 +20,11 @@ def _nome(y):
 def field_generators_mp(n, y):
     """(sqrt_k(tau), sqrt_k(n tau), omega1(n tau)/omega1(tau)) in mp at tau = iy.
 
-    n*y is rounded to a double, the same point as ``tau.scaled(n)``.
+    n*y is formed in mp, so the n tau generators sit at the same point as
+    the b_i at tau to the working precision.
     """
     q = _nome(y)
-    qn = _nome(n * y)
+    qn = _nome(n * mp.mpf(y))
     t2, t3 = mp.jtheta(2, 0, q), mp.jtheta(3, 0, q)
     s2, s3 = mp.jtheta(2, 0, qn), mp.jtheta(3, 0, qn)
     return t2 / t3, s2 / s3, (s3 / t3) ** 2

@@ -50,14 +50,13 @@ def _cpx(value):
 def _tau_from(args):
     if getattr(args, "tau", None) is not None:
         return UpperHalfPoint(parse_complex(args.tau))
-    if getattr(args, "tau_im", None) is not None:
+    if args.tau_im is not None:
         return UpperHalfPoint(complex(0.0, args.tau_im))
-    raise ParseError("one of --tau-im or --tau is required")
+    raise ParseError("--tau-im (or --tau on theta and elliptic) is required")
 
 
 def _add_tau_flags(p):
     p.add_argument("--tau-im", type=float, help="Im(tau) for tau on the imaginary axis")
-    p.add_argument("--tau", help="complex tau as re,im")
 
 
 def _report_payload(rep):
@@ -76,17 +75,12 @@ def _report_payload(rep):
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_theta(args):
-    tau = _tau_from(args)
+def _cmd_theta(args, tau):
     value = theta(args.j, parse_complex(args.v), tau)
-    payload = {"re": value.real, "im": value.imag}
-    if tau.degraded:
-        payload["degraded"] = True
-    return payload, _EXIT_OK
+    return {"re": value.real, "im": value.imag}, _EXIT_OK
 
 
-def _cmd_elliptic(args):
-    tau = _tau_from(args)
+def _cmd_elliptic(args, tau):
     ctx = EllipticContext(tau)
     u = parse_complex(args.v)
     payload = {
@@ -103,8 +97,7 @@ def _cmd_elliptic(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_build(args):
-    tau = _tau_from(args)
+def _cmd_cb_build(args, tau):
     cb = products.build(args.n, tau)
     payload = {
         "n": cb.n,
@@ -117,8 +110,7 @@ def _cmd_cb_build(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_eval(args):
-    tau = _tau_from(args)
+def _cmd_cb_eval(args, tau):
     cb = products.build(args.n, tau)
     z = parse_complex(args.z)
     fz_product = products.eval_product(cb, z)
@@ -134,9 +126,12 @@ def _cmd_cb_eval(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_coeffs(args):
-    tau = _tau_from(args)
+def _cmd_cb_coeffs(args, tau):
     cb = products.build(args.n, tau)
+    if any(s < sys.float_info.min for s in cb.S):
+        raise PrecisionError(
+            f"S underflows double range (smallest {min(cb.S)}); no relative cross-check"
+        )
     s_der = products.coefficients_from_derivatives(args.n, tau)
     residual = max(
         abs(a - b) / abs(a) for a, b in zip(cb.S, s_der)
@@ -144,8 +139,7 @@ def _cmd_cb_coeffs(args):
     if not residual <= products.COEFFICIENT_TOLERANCE:
         raise PrecisionError(
             f"derivative-route coefficients miss S by relative {residual:.3e}, "
-            f"beyond {products.COEFFICIENT_TOLERANCE}",
-            degraded=tau.degraded,
+            f"beyond {products.COEFFICIENT_TOLERANCE}"
         )
     payload = {
         "n": cb.n,
@@ -157,8 +151,7 @@ def _cmd_cb_coeffs(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_derivs(args):
-    tau = _tau_from(args)
+def _cmd_cb_derivs(args, tau):
     vals = products.derivatives_at_zero(args.n, tau, args.order)
     payload = {
         "n": args.n,
@@ -169,8 +162,7 @@ def _cmd_cb_derivs(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_critical(args):
-    tau = _tau_from(args)
+def _cmd_cb_critical(args, tau):
     cb = products.build(args.n, tau)
     vals = products.critical_values(cb)
     payload = {
@@ -182,8 +174,7 @@ def _cmd_cb_critical(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_modulus(args):
-    tau = _tau_from(args)
+def _cmd_cb_modulus(args, tau):
     cb = products.build(args.n, tau)
     payload = {
         "n": cb.n,
@@ -194,8 +185,7 @@ def _cmd_cb_modulus(args):
     return payload, _EXIT_OK
 
 
-def _cmd_cb_compose(args):
-    tau = _tau_from(args)
+def _cmd_cb_compose(args, tau):
     payload = products.compose_check(args.m, args.n, tau)
     return payload, _EXIT_OK
 
@@ -277,8 +267,7 @@ def _cmd_modulus_geodesic(args):
     return payload, _EXIT_OK
 
 
-def _cmd_modulus_dessin_size(args):
-    tau = _tau_from(args)
+def _cmd_modulus_dessin_size(args, tau):
     cb = products.build(args.n, tau)
     payload = {
         "n": args.n,
@@ -289,8 +278,8 @@ def _cmd_modulus_dessin_size(args):
     return payload, _EXIT_OK
 
 
-def _cmd_landen_verify(args):
-    rep = landen.verify_identity(args.id, _tau_from(args))
+def _cmd_landen_verify(args, tau):
+    rep = landen.verify_identity(args.id, tau)
     return _report_payload(rep), _EXIT_OK if rep.passed else _EXIT_VERIFY
 
 
@@ -347,11 +336,13 @@ def build_parser():
     p.add_argument("--j", type=int, required=True, choices=(0, 1, 2, 3))
     p.add_argument("--v", default="0", help="argument as re or re,im")
     _add_tau_flags(p)
+    p.add_argument("--tau", help="complex tau as re,im")
     p.set_defaults(handler=_cmd_theta)
 
     p = sub.add_parser("elliptic", help="sn/cn/dn/cd and derived quantities")
     p.add_argument("--v", default="0", help="elliptic argument u as re or re,im")
     _add_tau_flags(p)
+    p.add_argument("--tau", help="complex tau as re,im")
     p.set_defaults(handler=_cmd_elliptic)
 
     cb = sub.add_parser("cb", help="Chebyshev-Blaschke products").add_subparsers(
@@ -435,34 +426,30 @@ def build_parser():
     return parser
 
 
-_STATUS_BY_ERROR = (
-    (ParseError, "parse_error", _EXIT_INPUT),
-    (PrecisionError, "precision_error", _EXIT_INPUT),
-)
-
-
 def run(argv):
-    """Execute one invocation; returns a CommandResult without printing."""
-    argv = list(argv)
-    # `landen --id ... --tau-im ...` sugar for `landen verify ...`
-    cmd = 2 if argv[:1] == ["--format"] else 0
-    if argv[cmd : cmd + 1] == ["landen"] and len(argv) > cmd + 1 and (
-        argv[cmd + 1].startswith("--")
-    ):
-        argv.insert(cmd + 1, "verify")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Execute one invocation; returns a CommandResult without printing.
+
+    tau is read here for every subcommand with --tau-im; every payload at a
+    degraded tau, ok or error, ends with "degraded": true.
+    """
+    args = build_parser().parse_args(argv)
+    tau = None
     try:
-        payload, exit_code = args.handler(args)
+        if "tau_im" in args:
+            tau = _tau_from(args)
+            payload, exit_code = args.handler(args, tau)
+        else:
+            payload, exit_code = args.handler(args)
+        status = "ok" if exit_code == _EXIT_OK else "verification_failure"
     except ChebdiskError as exc:
-        payload = {"error": str(exc)}
-        if isinstance(exc, PrecisionError) and exc.degraded:
-            payload["degraded"] = True
-        for types, status, code in _STATUS_BY_ERROR:
-            if isinstance(exc, types):
-                return CommandResult(status, payload, code, args.format)
-        return CommandResult("domain_error", payload, _EXIT_INPUT, args.format)
-    status = "ok" if exit_code == _EXIT_OK else "verification_failure"
+        payload, exit_code = {"error": str(exc)}, _EXIT_INPUT
+        status = (
+            "parse_error" if isinstance(exc, ParseError)
+            else "precision_error" if isinstance(exc, PrecisionError)
+            else "domain_error"
+        )
+    if tau is not None and tau.degraded:
+        payload["degraded"] = True
     return CommandResult(status, payload, exit_code, args.format)
 
 

@@ -10,15 +10,7 @@ class DomainError(ChebdiskError):
 
 
 class PrecisionError(ChebdiskError):
-    """Requested tolerance could not be met.
-
-    ``degraded`` is True when the evaluation point sits below the
-    full-accuracy floor for Im(tau).
-    """
-
-    def __init__(self, message, degraded=False):
-        super().__init__(message)
-        self.degraded = degraded
+    """Requested tolerance could not be met."""
 
 
 class PoleError(ChebdiskError):

@@ -26,10 +26,14 @@ from .errors import (
     SingularSystemError,
 )
 from .elliptic import EllipticContext, sqrt_k
+from .jsonio import render_json
 from .theta import UpperHalfPoint, theta
 
 _CRITICAL_MATCH_TOL = 1e-7  # relative to sqrt(k(n tau))
 _PIVOT_FLOOR = 1e-12
+# Working digits of the long-division oracle; at 60 its S matched a
+# 250-digit run exactly at spot checks from (n, Im tau) = (40, 0.5) to (2, 30).
+_LONGDIVISION_DPS = 60
 # Pairwise relative agreement of the coefficient routes (criterion 6, cb coeffs).
 COEFFICIENT_TOLERANCE = 1e-8
 
@@ -89,7 +93,7 @@ def build(n, tau):
     """Construct the degree-n Chebyshev-Blaschke product at tau.
 
     tau must lie on the positive imaginary axis; the b_i are validated to
-    be real, inside (0,1), and strictly decreasing (checked for n <= 16).
+    be real, inside (0,1), and strictly decreasing.
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
@@ -105,10 +109,9 @@ def build(n, tau):
         if not (0.0 < bi.real < 1.0) or abs(bi.imag) > 1e-13 * abs(bi):
             raise DomainError(f"squared zero {bi} outside (0,1)")
         b.append(bi.real)
-    if n <= 16:
-        for lo, hi in zip(b[1:], b[:-1]):
-            if not lo < hi:
-                raise DomainError(f"squared zeros not strictly decreasing: {b}")
+    for lo, hi in zip(b[1:], b[:-1]):
+        if not lo < hi:
+            raise DomainError(f"squared zeros not strictly decreasing: {b}")
     return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b))
 
 
@@ -344,12 +347,13 @@ def _coefficient_system(n, a):
     return A, rhs
 
 
-def coefficients_from_derivatives(n, tau, dps=60):
+def coefficients_from_derivatives(n, tau):
     """S_{n,j} from the derivative closed forms + recurrence + linear solve.
 
-    The pipeline runs on arbitrary-precision numbers: the recurrence
-    reconstructs coefficients up to ~20 decimal orders smaller than its
-    intermediate terms, which doubles cannot survive.
+    The pipeline runs on arbitrary-precision numbers: orders up to
+    top = n + 2 floor(n/2) carry powers of 1/sqrt(k(tau)) up to the top-th,
+    so the recurrence loses about top * log10(1/sqrt(k(tau))) digits to
+    cancellation.  It runs with that many digits plus 30, and at least 60.
     """
     y = _axis_height(tau)
     if n < 2:
@@ -358,11 +362,14 @@ def coefficients_from_derivatives(n, tau, dps=60):
     from . import _mpkernel
 
     m = n // 2
-    with mp.workdps(dps):
+    top = n + 2 * m
+    with mp.workdps(15):
+        lost = top * mp.log10(1 / _mpkernel.field_generators_mp(n, y)[0])
+    with mp.workdps(max(60, 30 + int(mp.ceil(lost)))):
         gens = _mpkernel.field_generators_mp(n, y)
         vals = closed_derivatives(n, gens)
         i = 4 if n % 2 == 0 else 5
-        while i + 2 <= n + 2 * m:
+        while i + 2 <= top:
             vals[i + 2] = recurrence_step(n, i, vals, gens)
             i += 2
         # the system reads only orders of n's parity, and vals holds them all
@@ -372,7 +379,7 @@ def coefficients_from_derivatives(n, tau, dps=60):
     return [float(v.real) for v in S]
 
 
-def coefficients_from_longdivision(n, tau, dps=60):
+def coefficients_from_longdivision(n, tau):
     """S_{n,j} recovered from long-division Taylor coefficients of the
     expanded form; independent of the closed forms and the recurrence."""
     y = _axis_height(tau)
@@ -383,7 +390,7 @@ def coefficients_from_longdivision(n, tau, dps=60):
 
     m = n // 2
     p = n % 2
-    with mp.workdps(dps):
+    with mp.workdps(_LONGDIVISION_DPS):
         b = _mpkernel.squared_zero_parameters_mp(n, y)
         num, den = _expanded_coefficients(elementary_symmetric(b))
         even = series_long_division(num, den, (n + 2 * m - p) // 2 + 1)
@@ -469,14 +476,9 @@ def compose_check(m, n, tau):
 def serialize(cb):
     """One-line JSON record {n, tau_im, b, S, parity}; floats survive
     round-trip exactly (17 significant digits)."""
-    fields = [
-        f'"n": {cb.n}',
-        f'"tau_im": {cb.tau.value.imag:.17g}',
-        '"b": [' + ", ".join(f"{x:.17g}" for x in cb.b) + "]",
-        '"S": [' + ", ".join(f"{x:.17g}" for x in cb.S) + "]",
-        f'"parity": {cb.parity}',
-    ]
-    return "{" + ", ".join(fields) + "}"
+    return render_json(
+        {"n": cb.n, "tau_im": cb.tau.value.imag, "b": cb.b, "S": cb.S, "parity": cb.parity}
+    )
 
 
 def deserialize(record):

@@ -28,7 +28,7 @@ from .errors import DomainError, PrecisionError
 TWO_PI = 2.0 * math.pi
 
 # Below this Im(tau) the direct series still converges inside MAX_INDEX but
-# the full-accuracy guarantee is withdrawn; evaluations flag themselves.
+# the full-accuracy guarantee is withdrawn (UpperHalfPoint.degraded).
 TAU_IM_FLOOR = 0.05
 
 REL_TOL = 1e-15
@@ -41,7 +41,9 @@ class UpperHalfPoint:
 
     Construction rejects Im(tau) <= 0.  Points with Im(tau) below
     ``TAU_IM_FLOOR`` are accepted but marked degraded: series evaluations
-    there fall outside the validated accuracy regime.
+    there fall outside the validated accuracy regime.  ``degraded`` is the
+    one rule for that flag; the CLI appends it to every payload, ok or
+    error, computed at such a point.
     """
 
     value: complex
@@ -111,8 +113,7 @@ def theta(j, v, tau):
     """Evaluate theta_j(v, tau) for j in {0, 1, 2, 3}.
 
     Raises PrecisionError when MAX_INDEX is exhausted before the pair
-    criterion is met, or when a term overflows; the error carries the
-    degraded-accuracy flag of tau.
+    criterion is met, or when a term overflows.
     """
     if j not in (0, 1, 2, 3):
         raise DomainError(f"theta index must be one of 0,1,2,3, got {j}")
@@ -127,13 +128,11 @@ def theta(j, v, tau):
             total = _sum_half_integer_family(j, v, tval)
     except OverflowError:
         raise PrecisionError(
-            f"theta{j}(v={v}, tau={tval}) has a term beyond double range",
-            degraded=tau.degraded,
+            f"theta{j}(v={v}, tau={tval}) has a term beyond double range"
         ) from None
     if total is None:
         raise PrecisionError(
             f"theta{j}(v={v}, tau={tval}) did not meet rel_tol="
-            f"{REL_TOL} within max_index={MAX_INDEX}",
-            degraded=tau.degraded,
+            f"{REL_TOL} within max_index={MAX_INDEX}"
         )
     return total

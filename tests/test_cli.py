@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from chebdisk import cli
+from chebdisk import cli, products
 
 from helpers import SQRT_K_AT_I, THETA3_AT_I2
 
@@ -40,20 +40,43 @@ def test_cb_coeffs_example():
 
 
 @pytest.mark.parametrize(
-    "n, tau_im", [(2, "30"), (12, "4"), (8, "7")], ids=lambda v: str(v)
+    "n, tau_im",
+    [(2, "30"), (12, "4"), (8, "7"), (6, "0.1"), (28, "2")],
+    ids=lambda v: str(v),
 )
-def test_cb_coeffs_off_derivative_route_is_precision_error(n, tau_im):
-    # the derivative route misses S here (residual 1, 0.2 and 7e11)
+def test_cb_coeffs_derivative_route_where_sqrt_k_is_small(n, tau_im):
+    # at fixed 60 digits, or with n*Im(tau) rounded to a double, the route
+    # missed S here (residual 1, 0.2, 7e11, 1.2e-6 and 1e2)
     result = run_cli("cb", "coeffs", "--n", str(n), "--tau-im", tau_im)
+    assert result.status == "ok" and result.exit_code == 0
+    assert result.payload["cross_check_residual"] <= 1e-12
+
+
+def test_cb_coeffs_route_off_s_is_precision_error(monkeypatch):
+    route = products.coefficients_from_derivatives
+    monkeypatch.setattr(
+        products,
+        "coefficients_from_derivatives",
+        lambda n, tau: [s * (1 + 1e-6) for s in route(n, tau)],
+    )
+    result = run_cli("cb", "coeffs", "--n", "4", "--tau-im", "1")
     assert result.status == "precision_error" and result.exit_code == 2
     assert "S_derivative_route" not in result.payload
     assert "beyond 1e-08" in result.payload["error"]
 
 
-def test_landen_bare_alias():
-    result = run_cli("landen", "--id", "n4_sum", "--tau-im", "1.0")
-    assert result.status == "ok" and result.exit_code == 0
-    assert result.payload["pass"] is True
+def test_cb_coeffs_underflowed_s_is_precision_error():
+    # S_20 of build(40, 100i) is 0.0 in double: no relative check exists
+    result = run_cli("cb", "coeffs", "--n", "40", "--tau-im", "100")
+    assert result.status == "precision_error" and result.exit_code == 2
+    assert "underflows double range" in result.payload["error"]
+
+
+def test_landen_without_verify_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("landen", "--id", "n4_sum", "--tau-im", "1")
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 # --- output document shape ------------------------------------------------------
@@ -125,6 +148,49 @@ def test_precision_error_carries_degraded_flag():
     doc = json.loads(out)
     assert doc["status"] == "precision_error"
     assert doc["payload"]["degraded"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, tau_im, status",
+    [
+        (("cb", "build", "--n", "2"), "0.04", "ok"),
+        (("landen", "verify", "--id", "n2_prod"), "0.04", "ok"),
+        (("cb", "build", "--n", "5"), "0.03", "domain_error"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_degraded_ends_every_payload_below_floor(argv, tau_im, status):
+    result = run_cli(*argv, "--tau-im", tau_im)
+    assert result.status == status
+    assert list(result.payload)[-1] == "degraded"
+    assert result.payload["degraded"] is True
+    assert "degraded" not in run_cli(*argv, "--tau-im", "0.05").payload
+
+
+AXIS_ONLY_COMMANDS = [
+    ("cb", "build"),
+    ("cb", "eval", "--z", "0.5,0"),
+    ("cb", "coeffs"),
+    ("cb", "derivs"),
+    ("cb", "critical"),
+    ("cb", "modulus"),
+    ("cb", "compose", "--m", "2"),
+    ("modulus", "dessin-size"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(*cmd, "--n", "3") for cmd in AXIS_ONLY_COMMANDS]
+    + [("landen", "verify", "--id", "n2_prod")],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_axis_only_commands_refuse_complex_tau(argv, capsys):
+    # --tau abbreviates --tau-im here, which takes a float
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--tau", "0,1")
+    assert exc.value.code == 2
+    assert "invalid float value: '0,1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ is intended.
 """
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,10 @@ import pytest
 from chebdisk import cli
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "cli_golden.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-COMMANDS = (
-    # README
+# The fenced block under "## CLI" in README.md, in order.
+README_COMMANDS = (
     ("theta", "--j", "3", "--v", "0", "--tau-im", "0.5"),
     ("elliptic", "--v", "0.7", "--tau-im", "20"),
     ("cb", "build", "--n", "5", "--tau-im", "0.75"),
@@ -43,6 +45,9 @@ COMMANDS = (
     ("landen", "limit", "--id", "n6_prod", "--y-large", "30"),
     ("landen", "all"),
     ("verify-all",),
+)
+
+COMMANDS = README_COMMANDS + (
     # error documents
     ("theta", "--j", "3", "--tau-im", "0.001"),
     ("elliptic", "--v", "0.7", "--tau-im", "500"),
@@ -67,6 +72,18 @@ def _load():
 
 def test_golden_file_lists_every_command():
     assert sorted(_load()) == sorted(COMMANDS)
+
+
+def _readme_cli_block():
+    """argv of each command in the first fenced block under "## CLI"."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [tuple(shlex.split(line.removeprefix("chebdisk "), comments=True)) for line in lines]
+
+
+def test_readme_cli_block_is_the_golden_readme_section():
+    assert _readme_cli_block() == list(README_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)

@@ -61,7 +61,7 @@ def test_build_rejects_off_axis_without_flag(monkeypatch):
 
 
 def test_squared_zeros_strictly_decreasing():
-    for n in (4, 7, 10, 16):
+    for n in (4, 7, 10, 16, 24, 40):
         for y in (0.5, 1.0, 2.0):
             b = products.build(n, uhp(y)).b
             assert all(hi > lo for hi, lo in zip(b, b[1:]))

@@ -78,7 +78,6 @@ def test_precision_error_when_index_cap_too_small():
     low = UpperHalfPoint(0.001j)
     with pytest.raises(PrecisionError) as err:
         theta(3, 0.0, low)
-    assert err.value.degraded  # carries the accuracy flag of tau
     assert "rel_tol=1e-15 within max_index=64" in str(err.value)
 
 
