@@ -152,12 +152,12 @@ def _cmd_cb_coeffs(args, tau):
 
 
 def _cmd_cb_derivs(args, tau):
-    vals = products.derivatives_at_zero(args.n, tau, args.order)
+    cb = products.build(args.n, tau)
     payload = {
-        "n": args.n,
+        "n": cb.n,
         "tau_im": tau.value.imag,
         "orders": list(range(args.order + 1)),
-        "values": [vals.get(i, 0j) for i in range(args.order + 1)],
+        "values": products.derivatives_at_zero(cb, args.order),
     }
     return payload, _EXIT_OK
 

@@ -7,21 +7,21 @@ The degree-n product for tau on the positive imaginary axis is
 with squared-zero parameters b_i given by theta quotients at the odd
 half-angles (2i-1)pi/2n.  Coefficients S_j are the elementary symmetric
 polynomials of the b_i; they also solve a small linear system built from
-the Taylor coefficients of f at 0, which this module computes two more
-ways (closed forms + ODE recurrence, and power-series long division) for
-cross-validation.
+the Taylor coefficients of f at 0, which the mpmath oracles compute two
+ways (closed forms + ODE recurrence, and long division of the expanded
+form) for cross-validation; in double precision they come from the factors.
 """
 
 import cmath
 import json
 import math
-import sys
 from functools import cached_property
 
 from .errors import (
     DomainError,
     NoCriticalValues,
     PoleError,
+    PrecisionError,
     RootFindingError,
     SingularSystemError,
 )
@@ -270,24 +270,24 @@ def recurrence_step(n, i, lower, generators):
     return -(coef * f(i) + i * (i - 1) ** 2 * (i - 2) * f(i - 2) - cubic * triple)
 
 
-def derivatives_at_zero(n, tau, top):
-    """f^{(i)}(0) for i = 0..top via closed forms then the recurrence."""
-    if n == 1:
-        return {i: (1.0 + 0j if i == 1 else 0j) for i in range(top + 1)}
-    ctx = EllipticContext(tau)
-    nctx = EllipticContext(tau.scaled(n))
-    gens = sqrt_k(ctx), sqrt_k(nctx), (nctx.theta3_null / ctx.theta3_null) ** 2
-    if abs(gens[0]) ** 5 < sys.float_info.min:
-        raise DomainError(
-            f"sqrt(k(tau)) = {gens[0]} underflows in the closed forms' "
-            "powers; Im(tau) is too large"
-        )
-    vals = closed_derivatives(n, gens)
-    i = 4 if n % 2 == 0 else 5
-    while i + 2 <= top:
-        vals[i + 2] = recurrence_step(n, i, vals, gens)
-        i += 2
-    return {order: complex(v) for order, v in vals.items() if order <= top}
+def derivatives_at_zero(cb, top):
+    """[f^{(i)}(0) for i = 0..top] from the factors' series in z^2, where no
+    negative power of sqrt(k(tau)) enters: (z^2 - b)/(1 - b z^2) = -b +
+    sum_{k>=1} (1 - b^2) b^{k-1} z^{2k}.  PrecisionError once i! overflows."""
+    if top < 0:
+        raise DomainError(f"derivative order must be >= 0, got {top}")
+    m = (top - cb.parity) // 2
+    series = [1.0] + [0.0] * m
+    for b in cb.b:
+        factor = [-b] + [(1.0 - b * b) * b ** (k - 1) for k in range(1, m + 1)]
+        series = [sum(series[j] * factor[k - j] for j in range(k + 1)) for k in range(m + 1)]
+    out = [0j] * (top + 1)
+    for i in range(cb.parity, top + 1, 2):
+        try:
+            out[i] = complex(math.factorial(i) * series[i // 2])
+        except OverflowError:
+            raise PrecisionError(f"order {i}: {i}! exceeds double range") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +301,10 @@ def solve_partial_pivoting(A, rhs):
     rhs = rhs[:]
     for col in range(m):
         piv = max(range(col, m), key=lambda r: abs(A[r][col]))
-        if abs(A[piv][col]) < _PIVOT_FLOOR:
+        pivot = abs(A[piv][col])
+        if pivot < _PIVOT_FLOOR:
             raise SingularSystemError(
-                f"pivot {abs(A[piv][col])} below {_PIVOT_FLOOR} in column {col}"
+                f"pivot {float(pivot):.3e} below {_PIVOT_FLOOR} in column {col}"
             )
         if piv != col:
             A[col], A[piv] = A[piv], A[col]
@@ -368,10 +369,8 @@ def coefficients_from_derivatives(n, tau):
     with mp.workdps(max(60, 30 + int(mp.ceil(lost)))):
         gens = _mpkernel.field_generators_mp(n, y)
         vals = closed_derivatives(n, gens)
-        i = 4 if n % 2 == 0 else 5
-        while i + 2 <= top:
+        for i in range(4 + n % 2, top - 1, 2):
             vals[i + 2] = recurrence_step(n, i, vals, gens)
-            i += 2
         # the system reads only orders of n's parity, and vals holds them all
         a = {order: v / math.factorial(order) for order, v in vals.items()}
         A, rhs = _coefficient_system(n, a)

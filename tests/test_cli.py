@@ -200,7 +200,10 @@ def test_axis_only_commands_refuse_complex_tau(argv, capsys):
         ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "inf,0"),
         ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "1e200,0"),
         ("theta", "--j", "3", "--v", "0,400", "--tau-im", "1"),
-        ("cb", "derivs", "--n", "3", "--tau-im", "150", "--order", "9"),
+        ("cb", "derivs", "--n", "3", "--tau-im", "300", "--order", "9"),
+        ("cb", "derivs", "--n", "3", "--tau-im", "1", "--order", "200"),
+        ("cb", "derivs", "--n", "3", "--tau-im", "1", "--order", "-1"),
+        ("cb", "derivs", "--n", "0", "--tau-im", "1", "--order", "3"),
     ],
     ids=" ".join,
 )
@@ -211,6 +214,34 @@ def test_numeric_edge_inputs_exit_two_with_one_document(argv):
     doc = json.loads(out)
     assert doc["status"] in ("parse_error", "domain_error", "precision_error")
     assert doc["payload"]["error"]
+
+
+@pytest.mark.parametrize(
+    "flags,status,message",
+    [
+        (("--n", "3", "--tau-im", "1", "--order", "-1"), "domain_error",
+         "derivative order must be >= 0, got -1"),
+        (("--n", "3", "--tau-im", "1", "--order", "200"), "precision_error",
+         "order 171: 171! exceeds double range"),
+        (("--n", "0", "--tau-im", "1", "--order", "3"), "domain_error",
+         "degree must be >= 1, got 0"),
+        (("--n", "3", "--tau-im", "300", "--order", "9"), "domain_error",
+         "squared zero 0j outside (0,1)"),
+        # raises where build raises, degraded or not
+        (("--n", "3", "--tau-im", "0.02", "--order", "3"), "domain_error",
+         "squared zero (1.0000000000000004+0j) outside (0,1)"),
+    ],
+)
+def test_cb_derivs_typed_errors(flags, status, message):
+    result = run_cli("cb", "derivs", *flags)
+    assert (result.status, result.payload["error"]) == (status, message)
+
+
+def test_cb_derivs_at_large_tau_im():
+    # powers of b underflow gracefully: no guard on sqrt(k(tau)) remains
+    result = run_cli("cb", "derivs", "--n", "2", "--tau-im", "100", "--order", "4")
+    assert result.status == "ok"
+    assert result.payload["values"][2] == 2
 
 
 def test_series_flags_are_gone():

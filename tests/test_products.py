@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chebdisk import elliptic, products
 from chebdisk.elliptic import EllipticContext, sqrt_k
-from chebdisk.errors import DomainError, NoCriticalValues
+from chebdisk.errors import DomainError, NoCriticalValues, PrecisionError
 from chebdisk.theta import UpperHalfPoint, theta
 
 from helpers import (
@@ -180,14 +180,26 @@ def test_closed_form_against_series():
     assert rel_err(complex(closed(2, uhp(0.5))[2]), 2.0 * series) <= 1e-9
 
 
+def factor_series(n, tau, top):
+    return products.derivatives_at_zero(products.build(n, tau), top)
+
+
 def test_recurrence_against_series():
-    for n, y, order in ((2, 0.5, 6), (3, 1.0, 7)):
-        tau = uhp(y)
-        lower = products.derivatives_at_zero(n, tau, order - 2)
-        gens = generators(n, tau)
-        nxt = complex(products.recurrence_step(n, order - 2, lower, gens))
-        series = series_coefficient(products.build(n, tau), order)
-        assert rel_err(nxt, math.factorial(order) * series) <= 1e-8
+    # the double-precision recurrence cancels as sqrt(k(tau)) -> 0: by
+    # Im(tau) = 2 order 9 is off by 7e-4, so the check stops at Im(tau) = 1
+    for n in range(2, 9):
+        for y in (0.5, 1.0):
+            tau = uhp(y)
+            gens = generators(n, tau)
+            vals = products.closed_derivatives(n, gens)
+            for i in range(4 + n % 2, 8, 2):
+                vals[i + 2] = products.recurrence_step(n, i, vals, gens)
+            series = factor_series(n, tau, 9)
+            for order in range(6, 10):
+                if (order - n) % 2 == 0:
+                    assert abs(complex(vals[order]) - series[order]) <= 1e-10 * abs(
+                        series[order]
+                    ), (n, y, order)
 
 
 def test_recurrence_parity_mismatch():
@@ -197,23 +209,32 @@ def test_recurrence_parity_mismatch():
 
 def test_field_generator_arity():
     # every closed-form derivative is a function of the three generators alone
-    for n in (2, 3, 5):
-        tau = uhp(1.0)
-        ctx = EllipticContext(tau)
-        nctx = EllipticContext(tau.scaled(n))
-        gens = (
-            sqrt_k(ctx),
-            sqrt_k(nctx),
-            (nctx.theta3_null / ctx.theta3_null) ** 2,
-        )
-        from_gens = products.closed_derivatives(n, gens)
-        derivs = products.derivatives_at_zero(n, tau, 5)
-        for i in range(6):
-            direct = derivs[i]
-            if direct == 0:
-                assert from_gens[i] == 0
-            else:
-                assert rel_err(complex(from_gens[i]), direct) <= 1e-12
+    for n in range(2, 9):
+        for y in (0.5, 1.0, 2.0):
+            tau = uhp(y)
+            from_gens = closed(n, tau)
+            series = factor_series(n, tau, 5)
+            for i in range(6):
+                if series[i] == 0:
+                    assert from_gens[i] == 0
+                else:
+                    assert abs(complex(from_gens[i]) - series[i]) <= 1e-10 * abs(
+                        series[i]
+                    ), (n, y, i)
+
+
+def test_derivatives_at_zero_order_range():
+    cb = products.build(3, uhp(1.0))
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        products.derivatives_at_zero(cb, -1)
+    assert len(products.derivatives_at_zero(cb, 170)) == 171
+    with pytest.raises(PrecisionError, match="171! exceeds double range"):
+        products.derivatives_at_zero(cb, 200)
+
+
+def test_derivatives_at_zero_degree_one():
+    cb = products.build(1, uhp(1.0))
+    assert products.derivatives_at_zero(cb, 3) == [0j, 1 + 0j, 0j, 0j]
 
 
 # --- coefficient oracles ------------------------------------------------------
@@ -253,6 +274,17 @@ def test_singular_system_raises():
         products.solve_partial_pivoting([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
     with pytest.raises(SingularSystemError):
         products.solve_partial_pivoting([[1e-13]], [1.0])
+
+
+def test_pivot_message_rounds_mpmath_pivots():
+    import mpmath as mp
+    from chebdisk.errors import SingularSystemError
+
+    with mp.workdps(60):
+        pivot = mp.mpf(2) / 3 * mp.mpf(10) ** -20
+        with pytest.raises(SingularSystemError) as exc:
+            products.solve_partial_pivoting([[pivot]], [mp.mpf(1)])
+    assert str(exc.value) == "pivot 6.667e-21 below 1e-12 in column 0"
 
 
 def test_elliptic_rational_domain_guard():
