@@ -8,8 +8,10 @@ suite, since it exercises the executable from outside).  The CLI command
 
 import cmath
 import math
+import operator
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from . import landen, modulus, monodromy, products
@@ -30,6 +32,8 @@ class CriterionResult:
     worst: float
     tolerance: float
     detail: str
+    # wall time, set by run_all; 0.0 when a criterion is called directly
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -238,17 +242,6 @@ def criterion_8_chebyshev_degeneration():
     )
 
 
-def _brute_force_equivalent(rep1, rep2, relabelings):
-    """Reference oracle: try every relabeling (all permutations of degree n)."""
-    for iota in relabelings:
-        if (
-            iota.apply_then(rep1.sigma1) == rep2.sigma1.apply_then(iota)
-            and iota.apply_then(rep1.sigma2) == rep2.sigma2.apply_then(iota)
-        ):
-            return True
-    return False
-
-
 def criterion_9_monodromy(seed=DEFAULT_SEED):
     """Exhaustive n <= 5 sweep of the tree/Euler formulas; equivalence checks."""
     failures = []
@@ -274,10 +267,22 @@ def criterion_9_monodromy(seed=DEFAULT_SEED):
         reps = [
             monodromy.MonodromyRep(n, s1, s2) for s1 in perms for s2 in perms
         ]
+        # reference oracle: r1 ~ r2 iff some relabeling iota (any permutation
+        # of degree n) has iota.sigma_i(r1) == sigma_i(r2).iota for i = 1, 2;
+        # each side's composites are formed once per rep, not once per pair
+        after = [
+            [r.sigma1.apply_then(iota).images + r.sigma2.apply_then(iota).images
+             for iota in perms]
+            for r in reps
+        ]
         for r1 in reps:
-            for r2 in reps:
+            before = [
+                iota.apply_then(r1.sigma1).images + iota.apply_then(r1.sigma2).images
+                for iota in perms
+            ]
+            for r2, r2_after in zip(reps, after):
                 fast = monodromy.are_equivalent(r1, r2)
-                if fast != _brute_force_equivalent(r1, r2, perms):
+                if fast != any(map(operator.eq, before, r2_after)):
                     failures.append(f"equivalence decision wrong at n={n}")
                 if fast:
                     if r1.sigma1.cycle_type() != r2.sigma1.cycle_type() or (
@@ -369,11 +374,13 @@ _CRITERIA = (
 
 
 def run_all(seed=DEFAULT_SEED):
-    """Execute criteria 1..11 and return their results in order."""
+    """Execute criteria 1..11 and return their results, each timed, in order."""
     results = []
     for fn in _CRITERIA:
+        start = time.perf_counter()
         if fn in (criterion_3_blaschke_geometry, criterion_9_monodromy):
-            results.append(fn(seed=seed))
+            result = fn(seed=seed)
         else:
-            results.append(fn())
+            result = fn()
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -315,7 +315,7 @@ def _cmd_verify_all(args):
     ]
     ok = all(r.passed for r in results)
     for r in results:
-        print(r.line(), file=sys.stderr)
+        print(f"{r.line()} [{r.seconds * 1e3:.1f} ms]", file=sys.stderr)
     payload = {"records": records, "all_passed": ok}
     return payload, _EXIT_OK if ok else _EXIT_VERIFY
 

@@ -6,9 +6,9 @@ A representation of degree n is a pair (sigma1, sigma2) of permutations of
 downstream and those are convention-invariant.
 """
 
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -21,31 +21,42 @@ from .errors import (
 _EQUIV_DEGREE_CAP = 10
 
 
+def _as_int(value, what):
+    """value as an int, or DomainError when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """One-line notation over {1..n}: images[i-1] is the image of i."""
+    """One-line notation over {1..n}: images[i-1] is the image of i.
+
+    images is the only field; the degree n is stored beside it at
+    construction and the cycles once first asked for.
+    """
 
     images: tuple
+    _cycles = None
 
     def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
+        images = tuple(_as_int(x, "a permutation image") for x in self.images)
         n = len(images)
         if n == 0:
             raise DomainError("permutation must act on at least one point")
         if sorted(images) != list(range(1, n + 1)):
             raise DomainError(f"not a bijection of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def _unchecked(cls, images):
         """Wrap a tuple of ints already known to be a bijection of 1..n."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
+        object.__setattr__(perm, "n", len(images))
         return perm
-
-    @property
-    def n(self):
-        return len(self.images)
 
     def __call__(self, point):
         return self.images[point - 1]
@@ -63,8 +74,10 @@ class Permutation:
             inv[img - 1] = i
         return Permutation._unchecked(tuple(inv))
 
-    @cached_property
-    def _cycles(self):
+    def cycles(self):
+        """The cycles, fixed points included, each starting at its least point."""
+        if self._cycles is not None:
+            return self._cycles
         seen = [False] * self.n
         out = []
         for start in range(1, self.n + 1):
@@ -77,11 +90,9 @@ class Permutation:
                 cyc.append(p)
                 p = self.images[p - 1]
             out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycles(self):
-        """The cycles, fixed points included, each starting at its least point."""
-        return self._cycles
+        out = tuple(out)
+        object.__setattr__(self, "_cycles", out)
+        return out
 
     def cycle_type(self):
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -188,27 +199,37 @@ class MonodromyRep:
     sigma2: Permutation
 
     def __post_init__(self):
-        if self.sigma1.n != self.n or self.sigma2.n != self.n:
+        n = _as_int(self.n, "degree")
+        if self.sigma1.n != n or self.sigma2.n != n:
             raise DomainError(
                 f"permutation degrees {self.sigma1.n}, {self.sigma2.n} "
-                f"do not match n={self.n}"
+                f"do not match n={n}"
             )
-
-    @cached_property
-    def _transitive(self):
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            p = frontier.pop()
-            for q in (self.sigma1.images[p - 1], self.sigma2.images[p - 1]):
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        return len(seen) == self.n
+        object.__setattr__(self, "n", n)
+        # depth-first orbit of 1, the two generators unrolled (a loop over the
+        # pair is slower); images are 1-based, so seen[0] stays unused
+        img1, img2 = self.sigma1.images, self.sigma2.images
+        seen = [False] * (n + 1)
+        seen[1] = True
+        stack = [1]
+        reached = 1
+        while stack:
+            p = stack.pop() - 1
+            q = img1[p]
+            if not seen[q]:
+                seen[q] = True
+                reached += 1
+                stack.append(q)
+            q = img2[p]
+            if not seen[q]:
+                seen[q] = True
+                reached += 1
+                stack.append(q)
+        object.__setattr__(self, "_transitive", reached == n)
 
 
 def is_transitive(rep):
-    """Orbit of 1 under <sigma1, sigma2> covers all n points (computed once per rep)."""
+    """Orbit of 1 under <sigma1, sigma2> covers all n points (computed at construction)."""
     return rep._transitive
 
 
@@ -229,9 +250,21 @@ def euler_characteristic_disk(rep):
 def face_cycles(rep):
     """Cycle count of (sigma2 o sigma1)^{-1}; counts the faces c3.
 
-    Cycle counts are inversion-invariant, so the inverse is not formed.
+    Cycle counts are inversion-invariant, so the inverse is not formed;
+    nor is the composite: its cycles are walked on the two image tuples.
     """
-    return cycle_count(rep.sigma1.apply_then(rep.sigma2))
+    img1, img2 = rep.sigma1.images, rep.sigma2.images
+    seen = [False] * (rep.n + 1)
+    count = 0
+    for start in range(1, rep.n + 1):
+        if seen[start]:
+            continue
+        count += 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = img2[img1[p - 1] - 1]
+    return count
 
 
 def are_equivalent(rep1, rep2):
@@ -296,7 +329,9 @@ def are_equivalent(rep1, rep2):
                 used[yy] = False
         return False
 
-    return search()
+    found = search()
+    del search  # search's closure holds search: free the cycle now, not at the next GC
+    return found
 
 
 def chebyshev_monodromy(n):

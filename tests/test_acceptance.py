@@ -83,10 +83,46 @@ def test_criterion_9_sweeps_every_transitive_pair(monkeypatch):
         return is_tree(rep)
 
     monkeypatch.setattr(monodromy, "is_tree", counting_is_tree)
+    transitive_calls = []
+    is_transitive = monodromy.is_transitive
+
+    def counting_is_transitive(rep):
+        transitive_calls.append(rep.n)
+        return is_transitive(rep)
+
+    monkeypatch.setattr(monodromy, "is_transitive", counting_is_transitive)
+    equivalent_calls = []
+    are_equivalent = monodromy.are_equivalent
+
+    def counting_are_equivalent(rep1, rep2):
+        equivalent_calls.append(rep1.n)
+        return are_equivalent(rep1, rep2)
+
+    monkeypatch.setattr(monodromy, "are_equivalent", counting_are_equivalent)
     _check(acceptance.criterion_9_monodromy())
     # the sweep once per transitive pair, then is_tree and dessin_stats
     # on each chain representation n = 1..10
     assert len(calls) == sum(counts) + 20
+    # every pair in S_n x S_n, n = 1..5, is tested for transitivity
+    assert len(transitive_calls) == 1 + 4 + 36 + 576 + 14400
+    # all rep pairs at n = 2 and n = 3, then the 60 seeded conjugations
+    assert len(equivalent_calls) == 4**2 + 36**2 + 60
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_criterion_9_catches_a_constant_equivalence_oracle(monkeypatch, verdict):
+    monkeypatch.setattr(monodromy, "are_equivalent", lambda rep1, rep2: verdict)
+    result = acceptance.criterion_9_monodromy()
+    assert not result.passed
+    assert "equivalence decision wrong" in result.detail
+
+
+def test_run_all_times_each_criterion():
+    results = acceptance.run_all()
+    assert [r.number for r in results] == list(range(1, 12))
+    assert all(r.seconds > 0.0 for r in results)
+    # the timing is not part of a result's value
+    assert results[7] == acceptance.criterion_8_chebyshev_degeneration()
 
 
 def test_criterion_10_modulus_keystone():

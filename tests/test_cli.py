@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -332,6 +333,16 @@ def test_monodromy_commands():
     assert result.payload["equivalent"] is True
     result = run_cli("monodromy", "chebyshev", "--n", "6")
     assert result.payload["dessin"] == {"vertices": 7, "edges": 6}
+
+
+def test_verify_all_stderr_lines_carry_wall_times(capsys):
+    result = run_cli("verify-all")
+    assert result.exit_code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [int(re.match(r"PASS criterion (\d+): ", ln).group(1)) for ln in lines] == list(
+        range(1, 12)
+    )
+    assert all(re.search(r" \[\d+\.\d ms\]$", ln) for ln in lines)
 
 
 def test_modulus_commands():

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 from itertools import permutations
 
 import pytest
@@ -24,6 +26,23 @@ def rep(n, s1, s2):
 def test_permutation_rejects_non_bijection():
     with pytest.raises(DomainError):
         mono.Permutation((1, 1, 3))
+
+
+@pytest.mark.parametrize("images", [(2.7, 1.2), ("2", "1")], ids=["float", "str"])
+def test_permutation_rejects_non_integer_images(images):
+    with pytest.raises(DomainError, match="integer"):
+        mono.Permutation(images)
+
+
+def test_rep_rejects_non_integer_degree():
+    p = mono.Permutation.identity(3)
+    with pytest.raises(DomainError, match="integer"):
+        mono.MonodromyRep(3.0, p, p)
+
+
+def test_permutation_fields_and_repr():
+    assert [f.name for f in dataclasses.fields(mono.Permutation)] == ["images"]
+    assert repr(mono.Permutation((2, 1))) == "Permutation(images=(2, 1))"
 
 
 def test_parse_cycle_and_one_line_agree():
@@ -89,6 +108,28 @@ def test_face_cycles_examples():
     assert mono.face_cycles(rep(3, "(1 2 3)", "(1 3 2)")) == 3
 
 
+def _orbit_covers(a, b):
+    """Reference transitivity: orbit closure of 1 on the raw image tuples."""
+    orbit = {1}
+    while True:
+        grown = orbit | {a[p - 1] for p in orbit} | {b[p - 1] for p in orbit}
+        if grown == orbit:
+            return len(orbit) == len(a)
+        orbit = grown
+
+
+def test_rep_kernels_match_references_on_all_degree_four_pairs():
+    perms = [mono.Permutation(p) for p in permutations((1, 2, 3, 4))]
+    transitive = 0
+    for a in perms:
+        for b in perms:
+            r = mono.MonodromyRep(4, a, b)
+            assert mono.is_transitive(r) == _orbit_covers(a.images, b.images)
+            assert mono.face_cycles(r) == mono.cycle_count(a.apply_then(b))
+            transitive += mono.is_transitive(r)
+    assert transitive == 426
+
+
 def test_unvalidated_composites_match_validated_construction():
     perms = [mono.Permutation(p) for p in permutations((1, 2, 3, 4))]
     for a in perms:
@@ -139,6 +180,17 @@ def test_equivalence_size_cap():
     )
     with pytest.raises(SizeLimitError):
         mono.are_equivalent(big, big)
+
+
+def test_equivalence_leaves_no_cyclic_garbage():
+    r = mono.chebyshev_monodromy(4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert mono.are_equivalent(r, r)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _brute_force(rep1, rep2):
