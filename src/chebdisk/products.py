@@ -20,6 +20,7 @@ from functools import cached_property
 from .errors import (
     DomainError,
     NoCriticalValues,
+    ParseError,
     PoleError,
     PrecisionError,
     RootFindingError,
@@ -104,6 +105,13 @@ def build(n, tau):
         q2 = theta(2, v, tau)
         q3 = theta(3, v, tau)
         raw.append((q2 / q3) ** 2)
+    b = _checked_squared_zeros(raw)
+    return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b))
+
+
+def _checked_squared_zeros(raw):
+    """The b_i as floats, each real and inside (0,1) and strictly
+    decreasing, as every product's are; DomainError otherwise."""
     b = []
     for bi in raw:
         if not (0.0 < bi.real < 1.0) or abs(bi.imag) > 1e-13 * abs(bi):
@@ -112,7 +120,7 @@ def build(n, tau):
     for lo, hi in zip(b[1:], b[:-1]):
         if not lo < hi:
             raise DomainError(f"squared zeros not strictly decreasing: {b}")
-    return ChebyshevBlaschke(n, tau, b, elementary_symmetric(b))
+    return b
 
 
 def eval_product(cb, z):
@@ -276,6 +284,10 @@ def derivatives_at_zero(cb, top):
     sum_{k>=1} (1 - b^2) b^{k-1} z^{2k}.  PrecisionError once i! overflows."""
     if top < 0:
         raise DomainError(f"derivative order must be >= 0, got {top}")
+    # 170! is the last factorial below the double maximum
+    first = 172 - cb.parity
+    if top >= first:
+        raise PrecisionError(f"order {first}: {first}! exceeds double range")
     m = (top - cb.parity) // 2
     series = [1.0] + [0.0] * m
     for b in cb.b:
@@ -283,10 +295,7 @@ def derivatives_at_zero(cb, top):
         series = [sum(series[j] * factor[k - j] for j in range(k + 1)) for k in range(m + 1)]
     out = [0j] * (top + 1)
     for i in range(cb.parity, top + 1, 2):
-        try:
-            out[i] = complex(math.factorial(i) * series[i // 2])
-        except OverflowError:
-            raise PrecisionError(f"order {i}: {i}! exceeds double range") from None
+        out[i] = complex(math.factorial(i) * series[i // 2])
     return out
 
 
@@ -480,15 +489,51 @@ def serialize(cb):
     )
 
 
+_RECORD_FIELDS = (("n", int), ("tau_im", float), ("b", list), ("S", list), ("parity", int))
+
+
+def _is_field(value, kind):
+    """Whether a decoded JSON value is an int, a number (float) or a list
+    of numbers (list)."""
+    if kind is list:
+        return isinstance(value, list) and all(_is_field(x, float) for x in value)
+    numbers = int if kind is int else (int, float)
+    return isinstance(value, numbers) and not isinstance(value, bool)
+
+
 def deserialize(record):
-    """Rebuild a ChebyshevBlaschke from its serialized record."""
-    data = json.loads(record)
-    n = int(data["n"])
-    tau = UpperHalfPoint(complex(0.0, float(data["tau_im"])))
-    b = [float(x) for x in data["b"]]
-    S = [float(x) for x in data["S"]]
+    """Rebuild a ChebyshevBlaschke from its serialized record.
+
+    ParseError when the record is not a JSON object with the fields
+    serialize writes; DomainError when its values are not a product build
+    could make (S must be e_j(b) exactly, as floats round-trip exactly).
+    """
+    try:
+        data = json.loads(record)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"product record is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError("product record is not a JSON object")
+    for key, kind in _RECORD_FIELDS:
+        if key not in data:
+            raise ParseError(f"product record has no field {key!r}")
+        if not _is_field(data[key], kind):
+            raise ParseError(f"product record field {key!r} is not {kind.__name__}: "
+                             f"{data[key]!r}")
+    n = data["n"]
+    if n < 1:
+        raise DomainError(f"degree must be >= 1, got {n}")
+    try:
+        tau_im, b, S = (float(data["tau_im"]), [float(x) for x in data["b"]],
+                        [float(x) for x in data["S"]])
+    except OverflowError:
+        raise DomainError("product record holds a number beyond double range") from None
+    tau = UpperHalfPoint(complex(0.0, tau_im))
     if len(b) != n // 2 or len(S) != n // 2:
         raise DomainError(f"record length mismatch for degree {n}")
-    if int(data["parity"]) != n % 2:
+    if data["parity"] != n % 2:
         raise DomainError("parity inconsistent with degree")
+    b = _checked_squared_zeros(b)
+    if S != elementary_symmetric(b):
+        raise DomainError(f"S {S} is not e_j(b) = {elementary_symmetric(b)}")
     return ChebyshevBlaschke(n, tau, b, S)

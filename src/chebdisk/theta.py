@@ -11,12 +11,13 @@ Every term exponent is evaluated as e^{2 pi i tau w} with a *real* weight
 w = n^2 or (n + 1/2)^2.  No fractional power of a stored nome is ever taken,
 which pins the q^{1/4}-type branch unambiguously for complex tau.
 
-Summation runs over the symmetric index range n = -N..N, accumulating the
-two members of each +-n (or n, -n-1) pair together so that the exact
-cancellations of the odd/even symmetries survive in floating point.  One
-fixed truncation rule serves every evaluation: the sum stops after two
-consecutive pairs below REL_TOL * |sum|, and a series that has not stopped
-by pair index MAX_INDEX raises PrecisionError.
+One loop sums all four.  Pair n joins the terms at +-n (theta3, theta0)
+or at n and -n-1 (theta2, theta1), so the exact cancellations of the
+odd/even symmetries survive in floating point.  Its frequency is k = 2n or
+k = 2n + 1, its weight k^2/4 and its phases e^{+-i k v}; only the sign
+depends on j.  One fixed truncation rule serves every evaluation: the sum
+stops after two consecutive pairs (from n = 1) below REL_TOL * |sum|, and a
+series that has not stopped by pair index MAX_INDEX raises PrecisionError.
 """
 
 import cmath
@@ -39,9 +40,9 @@ MAX_INDEX = 64
 class UpperHalfPoint:
     """A point tau in the open upper half plane.
 
-    Construction rejects Im(tau) <= 0.  Points with Im(tau) below
-    ``TAU_IM_FLOOR`` are accepted but marked degraded: series evaluations
-    there fall outside the validated accuracy regime.  ``degraded`` is the
+    Construction rejects Im(tau) <= 0 and non-finite tau.  Points with
+    Im(tau) below ``TAU_IM_FLOOR`` are accepted but marked degraded: series
+    evaluations there fall outside the validated accuracy regime.  ``degraded`` is the
     one rule for that flag; the CLI appends it to every payload, ok or
     error, computed at such a point.
     """
@@ -52,6 +53,8 @@ class UpperHalfPoint:
         v = complex(self.value)
         if not v.imag > 0:
             raise DomainError(f"tau must satisfy Im(tau) > 0, got {v}")
+        if not cmath.isfinite(v):
+            raise DomainError(f"tau must be finite, got {v}")
         object.__setattr__(self, "value", v)
 
     @property
@@ -68,42 +71,31 @@ class UpperHalfPoint:
         return UpperHalfPoint(n * self.value)
 
 
-def _sum_integer_family(j, v, tau):
-    # theta3 (j=3) and theta0 (j=0): n = 0 term is 1, then +-n pairs.
-    total = 1 + 0j
+def _series(j, v, tau):
+    # Pair n has frequency k = 2n (theta3, theta0; the n = 0 term is 1) or
+    # k = 2n + 1 (theta2, theta1; pairs (n, -n-1)), and weight k^2/4.
+    half = j in (1, 2)
+    total = 0j if half else 1 + 0j
     below = 0
-    for n in range(1, MAX_INDEX + 1):
-        radial = cmath.exp(2j * math.pi * tau * (n * n))
-        tp = radial * cmath.exp(2j * n * v)
-        tm = radial * cmath.exp(-2j * n * v)
-        pair = -(tp + tm) if (j == 0 and n % 2 == 1) else (tp + tm)
-        total += pair
-        below = below + 1 if abs(pair) <= REL_TOL * abs(total) else 0
-        # A single tiny pair can be an accidental angular zero
-        # (cos(2nv) ~ 0); two consecutive tiny pairs cannot be unless the
-        # whole tail is negligible, so stop only then.
-        if below >= 2:
-            return total
-    return None
-
-
-def _sum_half_integer_family(j, v, tau):
-    # theta2 (j=2) and theta1 (j=1): pairs (n, -n-1), weight (n+1/2)^2.
-    total = 0j
-    below = 0
-    for n in range(0, MAX_INDEX + 1):
-        m = 2 * n + 1
-        radial = cmath.exp(2j * math.pi * tau * (m * m / 4.0))
-        tp = radial * cmath.exp(1j * m * v)
-        tm = radial * cmath.exp(-1j * m * v)
-        if j == 2:
-            pair = tp + tm
-        else:
+    step = 2j * math.pi * tau
+    for n in range(0 if half else 1, MAX_INDEX + 1):
+        k = 2 * n + 1 if half else 2 * n
+        radial = cmath.exp(step * (k * k / 4.0))
+        tp = radial * cmath.exp(1j * k * v)
+        tm = radial * cmath.exp(-1j * k * v)
+        if j == 1:
             # i^{2n-1} = -i(-1)^n at index n, i(-1)^n at index -n-1
             pair = (-1) ** n * (-1j * tp + 1j * tm)
+        elif j == 0 and n % 2 == 1:
+            pair = -(tp + tm)
+        else:
+            pair = tp + tm
         total += pair
         if n >= 1:
             below = below + 1 if abs(pair) <= REL_TOL * abs(total) else 0
+            # A single tiny pair can be an accidental angular zero
+            # (cos(kv) ~ 0); two consecutive tiny pairs cannot be unless
+            # the whole tail is negligible, so stop only then.
             if below >= 2:
                 return total
     return None
@@ -118,14 +110,9 @@ def theta(j, v, tau):
     if j not in (0, 1, 2, 3):
         raise DomainError(f"theta index must be one of 0,1,2,3, got {j}")
     tval = tau.value
-    if not tval.imag > 0:
-        raise DomainError(f"Im(tau) must be positive, got {tval}")
     v = complex(v)
     try:
-        if j in (3, 0):
-            total = _sum_integer_family(j, v, tval)
-        else:
-            total = _sum_half_integer_family(j, v, tval)
+        total = _series(j, v, tval)
     except OverflowError:
         raise PrecisionError(
             f"theta{j}(v={v}, tau={tval}) has a term beyond double range"

@@ -10,7 +10,14 @@ helper.  Frozen constants below were produced at 40 digits from the
 defining series (see tests for their single points of use).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import mpmath as mp
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 _JTHETA_INDEX = {1: 1, 2: 2, 3: 3, 0: 4}
 
@@ -27,6 +34,15 @@ def oracle_theta(j, v, tau, dps=30):
     """Reference theta value via mpmath.jtheta; returns complex."""
     with mp.workdps(dps):
         return complex(oracle_theta_mp(j, v, tau))
+
+
+def run_python(*argv):
+    """Run a child interpreter on argv with this checkout's src/ first on its
+    PYTHONPATH; returns (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def rel_err(value, reference):

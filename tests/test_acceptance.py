@@ -6,13 +6,13 @@ outside: exit codes, byte-identical output, parse diagnostics.
 """
 
 import json
-import subprocess
-import sys
 from itertools import permutations
 
 import pytest
 
 from chebdisk import acceptance, monodromy
+
+from helpers import run_python
 
 
 def _check(result):
@@ -133,23 +133,16 @@ def test_criterion_11_landen_catalog():
     _check(acceptance.criterion_11_landen_catalog())
 
 
-def _invoke(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "chebdisk.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def test_criterion_12_cli_contract():
-    code1, out1, _ = _invoke("verify-all")
-    code2, out2, _ = _invoke("verify-all")
+    code1, out1, _ = run_python("-m", "chebdisk.cli", "verify-all")
+    code2, out2, _ = run_python("-m", "chebdisk.cli", "verify-all")
     doc = json.loads(out1)
     deterministic = out1 == out2
     all_green = code1 == 0 and doc["all_passed" if "all_passed" in doc else "status"]
     payload_ok = doc["status"] == "ok" and doc["payload"]["all_passed"] is True
-    bad_code, _, bad_err = _invoke("landen", "verify", "--id", "nope")
+    bad_code, _, bad_err = run_python(
+        "-m", "chebdisk.cli", "landen", "verify", "--id", "nope"
+    )
     malformed_ok = bad_code == 2 and ("usage" in bad_err.lower() or "invalid" in bad_err.lower())
     passed = deterministic and code1 == 0 and payload_ok and malformed_ok
     print(

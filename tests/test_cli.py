@@ -1,13 +1,11 @@
 import json
 import re
-import subprocess
-import sys
 
 import pytest
 
 from chebdisk import cli, products
 
-from helpers import SQRT_K_AT_I, THETA3_AT_I2
+from helpers import SQRT_K_AT_I, THETA3_AT_I2, run_python
 
 
 def run_cli(*argv):
@@ -16,12 +14,7 @@ def run_cli(*argv):
 
 def invoke(*argv):
     """Run the CLI as a subprocess; returns (exit_code, stdout, stderr)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "chebdisk.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    return run_python("-m", "chebdisk.cli", *argv)
 
 
 # --- documented examples -------------------------------------------------------
@@ -218,6 +211,20 @@ def test_numeric_edge_inputs_exit_two_with_one_document(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "--j", "3", "--tau-im", "inf"),
+        ("landen", "limit", "--id", "n6_prod", "--y-large", "inf"),
+    ],
+    ids=" ".join,
+)
+def test_non_finite_tau_is_domain_error(argv):
+    result = run_cli(*argv)
+    assert result.status == "domain_error"
+    assert result.payload["error"] == "tau must be finite, got infj"
+
+
+@pytest.mark.parametrize(
     "flags,status,message",
     [
         (("--n", "3", "--tau-im", "1", "--order", "-1"), "domain_error",
@@ -231,6 +238,9 @@ def test_numeric_edge_inputs_exit_two_with_one_document(argv):
         # raises where build raises, degraded or not
         (("--n", "3", "--tau-im", "0.02", "--order", "3"), "domain_error",
          "squared zero (1.0000000000000004+0j) outside (0,1)"),
+        # refused before any series is formed
+        (("--n", "40", "--tau-im", "1", "--order", "100000"), "precision_error",
+         "order 172: 172! exceeds double range"),
     ],
 )
 def test_cb_derivs_typed_errors(flags, status, message):
@@ -287,37 +297,27 @@ def test_byte_identical_repeated_runs():
 
 
 def test_cli_import_leaves_numpy_out():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, chebdisk.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    code, out, err = run_python(
+        "-c", "import sys, chebdisk.cli; print('numpy' in sys.modules)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert code == 0, err
+    assert out.strip() == "False"
 
 
 def test_cli_import_leaves_mpmath_out():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, chebdisk.cli; print('mpmath' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    code, out, err = run_python(
+        "-c", "import sys, chebdisk.cli; print('mpmath' in sys.modules)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert code == 0, err
+    assert out.strip() == "False"
 
 
 def test_cli_import_leaves_acceptance_out():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, chebdisk.cli; print('chebdisk.acceptance' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
+    code, out, err = run_python(
+        "-c", "import sys, chebdisk.cli; print('chebdisk.acceptance' in sys.modules)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert code == 0, err
+    assert out.strip() == "False"
 
 
 def test_monodromy_commands():

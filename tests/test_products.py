@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chebdisk import elliptic, products
 from chebdisk.elliptic import EllipticContext, sqrt_k
-from chebdisk.errors import DomainError, NoCriticalValues, PrecisionError
+from chebdisk.errors import DomainError, NoCriticalValues, ParseError, PrecisionError
 from chebdisk.theta import UpperHalfPoint, theta
 
 from helpers import (
@@ -230,6 +231,11 @@ def test_derivatives_at_zero_order_range():
     assert len(products.derivatives_at_zero(cb, 170)) == 171
     with pytest.raises(PrecisionError, match="171! exceeds double range"):
         products.derivatives_at_zero(cb, 200)
+    # an even degree has no order 171; a huge order is refused at once
+    even = products.build(4, uhp(1.0))
+    assert len(products.derivatives_at_zero(even, 171)) == 172
+    with pytest.raises(PrecisionError, match="order 172: 172! exceeds double range"):
+        products.derivatives_at_zero(even, 10**9)
 
 
 def test_derivatives_at_zero_degree_one():
@@ -432,6 +438,48 @@ def test_serialize_round_trip_property(n, y):
     cb = products.build(n, uhp(y))
     out = products.deserialize(products.serialize(cb))
     assert out.b == cb.b and out.S == cb.S and out.tau.value == cb.tau.value
+
+
+_GOOD_RECORD = json.loads(products.serialize(products.build(5, uhp(0.75))))
+
+
+def _record(**fields):
+    return json.dumps({**_GOOD_RECORD, **fields})
+
+
+@pytest.mark.parametrize(
+    "record,error,message",
+    [
+        pytest.param("not json", ParseError, "is not JSON", id="not-json"),
+        pytest.param("[1,2]", ParseError, "is not a JSON object", id="list"),
+        pytest.param('{"n": 1}', ParseError, "has no field 'tau_im'", id="missing-key"),
+        pytest.param(_record(n=2.9), ParseError, "field 'n' is not int: 2.9", id="float-n"),
+        pytest.param(_record(n=True), ParseError, "field 'n' is not int", id="bool-n"),
+        pytest.param(_record(tau_im="1"), ParseError, "field 'tau_im' is not float",
+                     id="string-tau"),
+        pytest.param(_record(b=[0.3, "x"]), ParseError, "field 'b' is not list",
+                     id="string-in-b"),
+        pytest.param(_record(n=0, b=[], S=[], parity=0), DomainError,
+                     "degree must be >= 1, got 0", id="n0"),
+        pytest.param(_record(tau_im=-0.75), DomainError, "Im\\(tau\\) > 0", id="lower-half"),
+        pytest.param(_record(tau_im=math.inf), DomainError, "tau must be finite", id="inf-tau"),
+        pytest.param(_record(tau_im=10**400), DomainError, "beyond double range",
+                     id="huge-int-tau"),
+        pytest.param(_record(parity=0), DomainError, "parity inconsistent", id="parity"),
+        pytest.param(_record(b=[0.5]), DomainError, "length mismatch", id="short-b"),
+        pytest.param(_record(b=[1.5, 0.1]), DomainError, "squared zero 1.5 outside",
+                     id="b-outside"),
+        pytest.param(_record(b=[0.1, 0.3]), DomainError, "not strictly decreasing",
+                     id="b-increasing"),
+        pytest.param(
+            _record(S=[_GOOD_RECORD["S"][0], math.nextafter(_GOOD_RECORD["S"][1], 1.0)]),
+            DomainError, "is not e_j\\(b\\)", id="S-one-ulp-off",
+        ),
+    ],
+)
+def test_deserialize_refuses_records_build_could_not_make(record, error, message):
+    with pytest.raises(error, match=message):
+        products.deserialize(record)
 
 
 # --- interior contraction property ------------------------------------------------

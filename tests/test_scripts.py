@@ -1,11 +1,10 @@
 """The experiment scripts run end to end and report a small worst figure."""
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
+
+from helpers import run_python
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -16,17 +15,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ids=lambda argv: argv[0],
 )
 def test_script_reports_small_worst_figure(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.strip().splitlines()[-1]
+    code, out, err = run_python(str(ROOT / "scripts" / script[0]), *script[1:])
+    assert code == 0, err
+    last = out.strip().splitlines()[-1]
     assert last.startswith("worst")
     assert float(last.rsplit(" ", 1)[1]) < 1e-10

@@ -28,6 +28,9 @@ def test_upper_half_point_rejects_lower_half():
         UpperHalfPoint(1.0 + 0j)
     with pytest.raises(DomainError):
         UpperHalfPoint(0.3 - 0.2j)
+    for value in (complex(0.0, math.inf), complex(math.inf, 1.0), complex(math.nan, 1.0)):
+        with pytest.raises(DomainError, match="tau must be finite"):
+            UpperHalfPoint(value)
 
 
 def test_degraded_flag_below_floor():
@@ -73,12 +76,21 @@ def test_rejects_bad_index():
         theta(4, 0.0, uhp(1j))
 
 
-def test_precision_error_when_index_cap_too_small():
-    # at Im(tau) = 0.001 the pairs still grow past the 64-pair cap
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_precision_error_when_index_cap_too_small(j):
+    # at Im(tau) = 0.001 the pairs still grow past the 64-pair cap; v = 0.3
+    # because theta1(0) is exactly 0 and stops at once
     low = UpperHalfPoint(0.001j)
     with pytest.raises(PrecisionError) as err:
-        theta(3, 0.0, low)
+        theta(j, 0.3, low)
     assert "rel_tol=1e-15 within max_index=64" in str(err.value)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_precision_error_when_a_term_overflows(j):
+    # e^{300 k} passes the double maximum at k = 3 or 4
+    with pytest.raises(PrecisionError, match="has a term beyond double range"):
+        theta(j, 300j, uhp(1j))
 
 
 def test_determinism_bit_identical():
