@@ -261,7 +261,7 @@ def criterion_9_monodromy(seed=DEFAULT_SEED):
                     failures.append(f"sphere Euler gap {gap} invalid at n={n}")
                 if tree and gap != 0:
                     failures.append(f"tree with nonzero genus gap at n={n}")
-    # equivalence: backtracking vs brute force, exhaustively for n <= 3
+    # equivalence: canonical forms vs brute force, exhaustively for n <= 3
     for n in (2, 3):
         perms = [monodromy.Permutation(p) for p in permutations(range(1, n + 1))]
         reps = [

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error the package raises derives from ChebdiskError.  None of them
+is a size limit: an input is refused for its domain or its precision,
+never for its degree alone.
+"""
 
 
 class ChebdiskError(Exception):
@@ -35,10 +40,6 @@ class NotTransitiveError(ChebdiskError):
 
 class NotTreeError(ChebdiskError):
     """Operation requires a tree monodromy representation."""
-
-
-class SizeLimitError(ChebdiskError):
-    """Degree exceeds the guarded search bound."""
 
 
 class DenominatorNearZero(ChebdiskError):

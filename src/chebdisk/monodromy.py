@@ -10,15 +10,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    NotTransitiveError,
-    NotTreeError,
-    ParseError,
-    SizeLimitError,
-)
-
-_EQUIV_DEGREE_CAP = 10
+from .errors import DomainError, NotTransitiveError, NotTreeError, ParseError
 
 
 def _as_int(value, what):
@@ -63,6 +55,8 @@ class Permutation:
 
     def apply_then(self, other):
         """The composite 'self first, then other'."""
+        if other.n < self.n:
+            raise DomainError(f"degree {other.n} cannot follow degree {self.n}")
         images = tuple(other.images[p - 1] for p in self.images)
         if other.n != self.n:  # only a same-degree composite is surely a bijection
             return Permutation(images)
@@ -192,11 +186,16 @@ def _parse_cycles(text, n):
 
 @dataclass(frozen=True)
 class MonodromyRep:
-    """Degree plus the two generator images."""
+    """Degree plus the two generator images.
+
+    Transitivity is stored beside them at construction and the canonical
+    form once first asked for.
+    """
 
     n: int
     sigma1: Permutation
     sigma2: Permutation
+    _canonical = None
 
     def __post_init__(self):
         n = _as_int(self.n, "degree")
@@ -226,6 +225,44 @@ class MonodromyRep:
                 reached += 1
                 stack.append(q)
         object.__setattr__(self, "_transitive", reached == n)
+
+    def canonical_form(self):
+        """A relabeling-invariant form of the pair, built once.
+
+        Each orbit of <sigma1, sigma2> is relabeled breadth-first from each
+        of its points in turn, and its form is the least of the resulting
+        image-tuple pairs; the rep's form is the sorted tuple of those.
+        """
+        if self._canonical is not None:
+            return self._canonical
+        img1, img2 = self.sigma1.images, self.sigma2.images
+        placed = [False] * (self.n + 1)
+        forms = []
+        for first in range(1, self.n + 1):
+            if placed[first]:
+                continue
+            orbit, _ = _relabeled(img1, img2, first)
+            for p in orbit:
+                placed[p] = True
+            forms.append(min(_relabeled(img1, img2, start)[1] for start in orbit))
+        form = tuple(sorted(forms))
+        object.__setattr__(self, "_canonical", form)
+        return form
+
+
+def _relabeled(img1, img2, start):
+    """start's orbit in breadth-first order (sigma1's image before sigma2's),
+    and both generators' images over that orbit with point order[i] renamed i+1."""
+    label = {start: 1}
+    order = [start]
+    for p in order:
+        for q in (img1[p - 1], img2[p - 1]):
+            if q not in label:
+                order.append(q)
+                label[q] = len(order)
+    return order, tuple(label[img1[p - 1]] for p in order) + tuple(
+        label[img2[p - 1]] for p in order
+    )
 
 
 def is_transitive(rep):
@@ -270,68 +307,16 @@ def face_cycles(rep):
 def are_equivalent(rep1, rep2):
     """Whether a relabeling iota with sigma_i o iota = iota o sigma_i' exists.
 
-    Backtracking over candidate images, pruned by cycle length under both
-    generators; degrees above 10 are refused.
+    Exactly the equivalent reps have equal canonical forms; each rep's form
+    is built once, in O(n^2), so every degree is accepted.
     """
     if rep1.n != rep2.n:
         raise DomainError(f"degrees differ: {rep1.n} vs {rep2.n}")
-    n = rep1.n
-    if n > _EQUIV_DEGREE_CAP:
-        raise SizeLimitError(f"equivalence search capped at n <= {_EQUIV_DEGREE_CAP}")
     if rep1.sigma1.cycle_type() != rep2.sigma1.cycle_type():
         return False
     if rep1.sigma2.cycle_type() != rep2.sigma2.cycle_type():
         return False
-
-    def cycle_lengths(perm):
-        length = [0] * (n + 1)
-        for cyc in perm.cycles():
-            for p in cyc:
-                length[p] = len(cyc)
-        return length
-
-    len1a, len1b = cycle_lengths(rep1.sigma1), cycle_lengths(rep1.sigma2)
-    len2a, len2b = cycle_lengths(rep2.sigma1), cycle_lengths(rep2.sigma2)
-
-    iota = [0] * (n + 1)   # image under iota, rep2-point -> rep1-point
-    used = [False] * (n + 1)
-
-    def propagate(x, y, stack):
-        """Force iota(x) = y and close under both generators."""
-        queue = [(x, y)]
-        while queue:
-            x, y = queue.pop()
-            if iota[x]:
-                if iota[x] != y:
-                    return False
-                continue
-            if used[y] or len2a[x] != len1a[y] or len2b[x] != len1b[y]:
-                return False
-            iota[x] = y
-            used[y] = True
-            stack.append((x, y))
-            queue.append((rep2.sigma1(x), rep1.sigma1(y)))
-            queue.append((rep2.sigma2(x), rep1.sigma2(y)))
-        return True
-
-    def search():
-        x = next((p for p in range(1, n + 1) if not iota[p]), None)
-        if x is None:
-            return True
-        for y in range(1, n + 1):
-            if used[y]:
-                continue
-            stack = []
-            if propagate(x, y, stack) and search():
-                return True
-            for xx, yy in stack:
-                iota[xx] = 0
-                used[yy] = False
-        return False
-
-    found = search()
-    del search  # search's closure holds search: free the cycle now, not at the next GC
-    return found
+    return rep1.canonical_form() == rep2.canonical_form()
 
 
 def chebyshev_monodromy(n):

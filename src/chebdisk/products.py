@@ -126,6 +126,8 @@ def _checked_squared_zeros(raw):
 def eval_product(cb, z):
     """Evaluate via the factored form z^p prod (z^2 - b_i)/(1 - b_i z^2)."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     val = z ** cb.parity if cb.parity else 1.0 + 0j
     zz = z * z
     for bi in cb.b:
@@ -153,6 +155,8 @@ def _expanded_coefficients(S):
 def eval_expanded(cb, z):
     """Evaluate via the expanded rational form in the coefficients S_j."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     num, den = _expanded_coefficients(cb.S)
     zz = z * z
     nv = 0j

@@ -105,7 +105,8 @@ def theta(j, v, tau):
     """Evaluate theta_j(v, tau) for j in {0, 1, 2, 3}.
 
     Raises PrecisionError when MAX_INDEX is exhausted before the pair
-    criterion is met, or when a term overflows.
+    criterion is met, or when a term overflows; DomainError instead when
+    that failure comes from a non-finite v (tested only then).
     """
     if j not in (0, 1, 2, 3):
         raise DomainError(f"theta index must be one of 0,1,2,3, got {j}")
@@ -113,13 +114,11 @@ def theta(j, v, tau):
     v = complex(v)
     try:
         total = _series(j, v, tval)
+        if total is not None:
+            return total
+        reason = f"did not meet rel_tol={REL_TOL} within max_index={MAX_INDEX}"
     except OverflowError:
-        raise PrecisionError(
-            f"theta{j}(v={v}, tau={tval}) has a term beyond double range"
-        ) from None
-    if total is None:
-        raise PrecisionError(
-            f"theta{j}(v={v}, tau={tval}) did not meet rel_tol="
-            f"{REL_TOL} within max_index={MAX_INDEX}"
-        )
-    return total
+        reason = "has a term beyond double range"
+    if not cmath.isfinite(v):
+        raise DomainError(f"theta{j}: v must be finite, got {v}")
+    raise PrecisionError(f"theta{j}(v={v}, tau={tval}) {reason}")

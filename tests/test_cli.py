@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -333,6 +334,23 @@ def test_monodromy_commands():
     assert result.payload["equivalent"] is True
     result = run_cli("monodromy", "chebyshev", "--n", "6")
     assert result.payload["dessin"] == {"vertices": 7, "edges": 6}
+
+
+def test_monodromy_equiv_has_no_degree_cap():
+    readme_sigmas = ("--sigma1", "(1 2)", "--sigma2", "(2 3)",
+                     "--other-sigma1", "(2 3)", "--other-sigma2", "(1 2)")
+    result = run_cli("monodromy", "equiv", *readme_sigmas, "--n", "11")
+    assert result.status == "ok" and result.payload["equivalent"] is True
+    # the n = 40 chain against a seeded renaming of its points
+    odd = "".join(f"({i} {i + 1})" for i in range(1, 40, 2))
+    even = "".join(f"({i} {i + 1})" for i in range(2, 39, 2))
+    names = random.Random(40).sample(range(1, 41), 40)
+    rename = lambda cycles: re.sub(r"\d+", lambda m: str(names[int(m.group()) - 1]), cycles)
+    result = run_cli(
+        "monodromy", "equiv", "--sigma1", odd, "--sigma2", even,
+        "--other-sigma1", rename(odd), "--other-sigma2", rename(even), "--n", "40",
+    )
+    assert result.status == "ok" and result.payload["equivalent"] is True
 
 
 def test_verify_all_stderr_lines_carry_wall_times(capsys):

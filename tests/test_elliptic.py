@@ -112,6 +112,13 @@ def test_vanished_null_raises_where_it_divides():
             fn(0.7, ctx)
 
 
+def test_non_finite_argument_is_a_domain_error():
+    ctx = ctx_at(1.0)
+    for fn in (sn, cn, dn, cd):
+        with pytest.raises(DomainError, match="v must be finite"):
+            fn(math.nan, ctx)
+
+
 def test_context_constructs_where_a_null_is_subnormal():
     ctx = EllipticContext(UpperHalfPoint(460j))
     assert 0.0 < abs(ctx.theta2_null) < 1e-300

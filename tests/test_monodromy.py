@@ -1,18 +1,13 @@
 import dataclasses
 import gc
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebdisk import monodromy as mono
-from chebdisk.errors import (
-    DomainError,
-    NotTransitiveError,
-    NotTreeError,
-    ParseError,
-    SizeLimitError,
-)
+from chebdisk.errors import DomainError, NotTransitiveError, NotTreeError, ParseError
 
 
 def rep(n, s1, s2):
@@ -153,6 +148,8 @@ def test_unvalidated_composites_match_validated_construction():
     assert swap.apply_then(mono.Permutation.identity(3)) == swap
     with pytest.raises(DomainError):
         swap.apply_then(mono.Permutation((3, 1, 2)))
+    with pytest.raises(DomainError, match="degree 2 cannot follow degree 3"):
+        mono.Permutation((1, 2, 3)).apply_then(swap)
 
 
 # --- equivalence ----------------------------------------------------------------------
@@ -174,12 +171,24 @@ def test_equivalence_distinguishes_cycle_types():
     assert not mono.are_equivalent(r1, r2)
 
 
-def test_equivalence_size_cap():
-    big = mono.MonodromyRep(
-        11, mono.Permutation.identity(11), mono.Permutation.identity(11)
-    )
-    with pytest.raises(SizeLimitError):
-        mono.are_equivalent(big, big)
+def _relabeled(r, iota):
+    conj = lambda s: iota.inverse().apply_then(s).apply_then(iota)
+    return mono.MonodromyRep(r.n, conj(r.sigma1), conj(r.sigma2))
+
+
+def test_equivalence_has_no_degree_cap():
+    identity = mono.Permutation.identity(11)
+    big = mono.MonodromyRep(11, identity, identity)
+    assert mono.are_equivalent(big, big)
+    chain = mono.chebyshev_monodromy(40)
+    iota = mono.Permutation(tuple(random.Random(40).sample(range(1, 41), 40)))
+    assert mono.are_equivalent(chain, _relabeled(chain, iota))
+    # same cycle types as the chain (2^20 and 2^19 1^2), but intransitive
+    pairs = mono.parse_permutation("".join(f"({p} {p + 1})" for p in range(1, 38, 2)), 40)
+    split = mono.MonodromyRep(40, chain.sigma1, pairs)
+    assert split.sigma2.cycle_type() == chain.sigma2.cycle_type()
+    assert not mono.is_transitive(split)
+    assert not mono.are_equivalent(chain, split)
 
 
 def test_equivalence_leaves_no_cyclic_garbage():
@@ -205,11 +214,26 @@ def _brute_force(rep1, rep2):
 
 
 def test_equivalence_matches_brute_force_degree_three():
-    perms = [mono.Permutation(p) for p in permutations((1, 2, 3))]
-    reps = [mono.MonodromyRep(3, a, b) for a in perms for b in perms]
-    for r1 in reps[::3]:
-        for r2 in reps[::4]:
-            assert mono.are_equivalent(r1, r2) == _brute_force(r1, r2)
+    for n in (1, 2, 3):
+        perms = [mono.Permutation(p) for p in permutations(range(1, n + 1))]
+        reps = [mono.MonodromyRep(n, a, b) for a in perms for b in perms]
+        for r1 in reps:
+            for r2 in reps:
+                assert mono.are_equivalent(r1, r2) == _brute_force(r1, r2)
+
+
+def test_equivalence_matches_brute_force_degree_four_sample():
+    perms = [mono.Permutation(p) for p in permutations((1, 2, 3, 4))]
+    rng = random.Random(4)
+    equivalent = 0
+    for _ in range(3000):
+        r1, r2 = (mono.MonodromyRep(4, *rng.choices(perms, k=2)) for _ in range(2))
+        if rng.random() < 0.5:  # unrelated pairs are rarely equivalent
+            r2 = _relabeled(r1, rng.choice(perms))
+        fast = mono.are_equivalent(r1, r2)
+        assert fast == _brute_force(r1, r2)
+        equivalent += fast
+    assert 1500 <= equivalent < 3000
 
 
 # --- chains ----------------------------------------------------------------------------
@@ -259,7 +283,7 @@ perm_strategy = st.integers(min_value=2, max_value=7).flatmap(
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_conjugation_is_equivalence(data):
-    n = data.draw(st.integers(min_value=2, max_value=7))
+    n = data.draw(st.integers(min_value=2, max_value=40))
     draw_perm = lambda: mono.Permutation(
         tuple(data.draw(st.permutations(list(range(1, n + 1)))))
     )

@@ -497,6 +497,14 @@ def test_interior_contraction_and_agreement(n, y, z):
     assert abs(fz - products.eval_expanded(cb, z)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("z", [math.nan, complex(math.inf, 0.0), complex(0.5, math.nan)])
+@pytest.mark.parametrize("evaluate", [products.eval_product, products.eval_expanded])
+def test_eval_rejects_non_finite_z(evaluate, z, n):
+    with pytest.raises(DomainError, match="z must be finite"):
+        evaluate(products.build(n, uhp(1.0)), z)
+
+
 def test_eval_expanded_degree_one_is_identity():
     cb = products.build(1, uhp(2.0))
     for z in (0.1, 0.5j, -0.7):

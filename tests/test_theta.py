@@ -76,6 +76,13 @@ def test_rejects_bad_index():
         theta(4, 0.0, uhp(1j))
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, complex(0.0, math.inf)], ids=str)
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_non_finite_v_is_a_domain_error(j, v):
+    with pytest.raises(DomainError, match="v must be finite"):
+        theta(j, v, uhp(1j))
+
+
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
 def test_precision_error_when_index_cap_too_small(j):
     # at Im(tau) = 0.001 the pairs still grow past the 64-pair cap; v = 0.3
