@@ -461,8 +461,6 @@ def compose_check(m, n, tau):
     """Max over an interior grid of |f_{m, n tau}(f_{n,tau}(z)) - f_{mn,tau}(z)|."""
     if m < 1 or n < 1:
         raise DomainError("degrees must be >= 1")
-    if m * n > 12:
-        raise DomainError(f"m*n = {m*n} exceeds the guarded bound 12")
     inner = build(n, tau)
     outer = build(m, tau.scaled(n))
     full = build(m * n, tau)

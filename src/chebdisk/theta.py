@@ -18,6 +18,11 @@ k = 2n + 1, its weight k^2/4 and its phases e^{+-i k v}; only the sign
 depends on j.  One fixed truncation rule serves every evaluation: the sum
 stops after two consecutive pairs (from n = 1) below REL_TOL * |sum|, and a
 series that has not stopped by pair index MAX_INDEX raises PrecisionError.
+
+On the imaginary axis (tau = iy) with a real, finite v every term is real,
+and theta sums them with a real loop instead.  It repeats the complex
+loop's float operations on their real parts, so it returns the same bits
+at about half the cost; every other (v, tau) takes the complex loop.
 """
 
 import cmath
@@ -101,6 +106,28 @@ def _series(j, v, tau):
     return None
 
 
+def _series_real(j, v, y):
+    # _series at tau = iy and real v, on the real parts: there the step is
+    # (-2 pi y, 0), the radial factor (e^a, 0), and (r, 0)(c, s) = (rc, rs),
+    # so each pair is t + t with t = r cos(kv) (r sin(kv) for theta1).
+    half = j in (1, 2)
+    trig = math.sin if j == 1 else math.cos
+    alternate = j in (0, 1)
+    total = 0.0 if half else 1.0
+    below = 0
+    step = -(TWO_PI * y)
+    for n in range(0 if half else 1, MAX_INDEX + 1):
+        k = 2 * n + 1 if half else 2 * n
+        t = math.exp(step * (k * k / 4.0)) * trig(k * v)
+        pair = -(t + t) if alternate and n % 2 == 1 else t + t
+        total += pair
+        if n >= 1:
+            below = below + 1 if abs(pair) <= REL_TOL * abs(total) else 0
+            if below >= 2:
+                return complex(total)
+    return None
+
+
 def theta(j, v, tau):
     """Evaluate theta_j(v, tau) for j in {0, 1, 2, 3}.
 
@@ -113,7 +140,10 @@ def theta(j, v, tau):
     tval = tau.value
     v = complex(v)
     try:
-        total = _series(j, v, tval)
+        if tau.on_imaginary_axis and v.imag == 0.0 and math.isfinite(v.real):
+            total = _series_real(j, v.real, tval.imag)
+        else:
+            total = _series(j, v, tval)
         if total is not None:
             return total
         reason = f"did not meet rel_tol={REL_TOL} within max_index={MAX_INDEX}"

@@ -353,6 +353,12 @@ def test_monodromy_equiv_has_no_degree_cap():
     assert result.status == "ok" and result.payload["equivalent"] is True
 
 
+def test_cb_compose_has_no_degree_cap():
+    result = run_cli("cb", "compose", "--m", "4", "--n", "4", "--tau-im", "1")
+    assert result.status == "ok" and result.exit_code == 0
+    assert result.payload["max_deviation"] <= 1e-9
+
+
 def test_verify_all_stderr_lines_carry_wall_times(capsys):
     result = run_cli("verify-all")
     assert result.exit_code == 0

@@ -395,9 +395,9 @@ def test_compose_examples():
     assert products.compose_check(3, 2, uhp(1.0))["max_deviation"] <= 1e-9
 
 
-def test_compose_guard():
-    with pytest.raises(DomainError):
-        products.compose_check(4, 4, uhp(1.0))
+@pytest.mark.parametrize("m, n, tau_im", [(4, 4, 1.0), (5, 8, 0.3), (8, 5, 0.1)])
+def test_compose_has_no_degree_cap(m, n, tau_im):
+    assert products.compose_check(m, n, uhp(tau_im))["max_deviation"] <= 1e-9
 
 
 # --- functional-definition consistency ------------------------------------------

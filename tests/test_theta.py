@@ -1,11 +1,13 @@
 import cmath
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chebdisk.errors import DomainError, PrecisionError
-from chebdisk.theta import UpperHalfPoint, theta
+from chebdisk.theta import UpperHalfPoint, _series, _series_real, theta
 
 from helpers import (
     THETA3_AT_I,
@@ -13,6 +15,9 @@ from helpers import (
     oracle_theta,
     rel_err,
 )
+
+# the module itself: the package exports its theta function under the same name
+theta_module = sys.modules["chebdisk.theta"]
 
 GRID = (0.3j, 0.5j, 1j, 2j, 0.25 + 0.75j)
 
@@ -98,6 +103,81 @@ def test_precision_error_when_a_term_overflows(j):
     # e^{300 k} passes the double maximum at k = 3 or 4
     with pytest.raises(PrecisionError, match="has a term beyond double range"):
         theta(j, 300j, uhp(1j))
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_precision_error_text_is_the_same_on_both_loops(j):
+    # Im(tau) = 0.001 exhausts MAX_INDEX on the real loop as on the complex one
+    assert _series_real(j, 0.3, 0.001) is None
+    with pytest.raises(PrecisionError) as err:
+        theta(j, 0.3, UpperHalfPoint(0.001j))
+    assert str(err.value) == (
+        f"theta{j}(v=(0.3+0j), tau=0.001j) did not meet rel_tol=1e-15 within max_index=64"
+    )
+
+
+def _axis_identity_cases():
+    rng = random.Random(1907)
+    heights = [0.05 * (316 / 0.05) ** (i / 15) for i in range(16)]
+    heights[-1] = 316.0
+    angles = [0.0, -0.0] + [rng.uniform(-4.0, 4.0) for _ in range(24)]
+    for n in (2, 3, 5, 8, 13, 24, 40):
+        angles.append((2 * rng.randint(1, n) - 1) * math.pi / (2 * n))  # zero angle
+        angles.append(rng.randint(1, n - 1) * math.pi / n)  # critical angle
+    angles += [(2 * i - 1) * math.pi / 80 for i in range(1, 41, 3)]
+    for j in range(4):
+        for y in heights:
+            for v in angles:
+                yield j, y, v
+
+
+def test_real_loop_repeats_the_complex_loop_bit_for_bit():
+    cases = 0
+    for j, y, v in _axis_identity_cases():
+        expected = _series(j, complex(v), complex(0.0, y))
+        assert repr(_series_real(j, v, y)) == repr(expected), (j, y, v)
+        cases += 1
+    assert cases == 4 * 16 * 54
+
+
+def _complex_loop_forbidden(*args):
+    raise AssertionError("complex theta loop reached on the imaginary axis")
+
+
+def test_axis_traffic_takes_the_real_loop(monkeypatch):
+    from chebdisk import landen, modulus, products
+    from chebdisk.elliptic import EllipticContext, cd
+
+    monkeypatch.setattr(theta_module, "_series", _complex_loop_forbidden)
+    tau = UpperHalfPoint(0.5j)
+    ctx = EllipticContext(tau)
+    assert (ctx.theta0_null, ctx.theta2_null, ctx.theta3_null) == tuple(
+        theta(j, 0.0, tau) for j in (0, 2, 3)
+    )
+    assert cd(0.4, ctx).imag == 0.0
+    cb = products.build(6, tau)
+    assert len(products.critical_values(cb)) == 2
+    assert abs(modulus.dessin_size(cb) - 0.5 / 4) <= 1e-8
+    assert landen.verify_identity("n4_sum", tau).passed
+
+
+def test_off_axis_tau_and_complex_v_take_the_complex_loop(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _series(*args)
+
+    monkeypatch.setattr(theta_module, "_series", counted)
+    for tval in (0.3j, 0.5j, 1j, 2j, 0.25 + 0.75j):
+        for shifted in (tval + 1, tval / 4, -1 / tval, tval - 0.5):
+            if shifted.real != 0.0:
+                before = len(calls)
+                theta(3, 0.3, uhp(shifted))
+                assert len(calls) == before + 1
+        before = len(calls)
+        theta(2, 0.4 + 0.1j, uhp(tval))
+        assert len(calls) == before + 1
 
 
 def test_determinism_bit_identical():
