@@ -31,10 +31,9 @@ def main():
             row.append(f"{rep.residual:.2e}  ")
             worst = max(worst, rep.residual)
         trig = landen.trig_limit(identity_id, args.y_large)
-        target = landen.TRIG_TARGETS[identity_id]
         print(
             f"{identity_id:8s} " + " ".join(row)
-            + f"| {str(target):11s} {trig.residual:.2e}"
+            + f"| {trig.rhs.real:<11g} {trig.residual:.2e}"
         )
     print(f"\nworst identity residual over the grid: {worst:.3e}")
 

@@ -55,10 +55,6 @@ def _tau_from(args):
     raise ParseError("--tau-im (or --tau on theta and elliptic) is required")
 
 
-def _add_tau_flags(p):
-    p.add_argument("--tau-im", type=float, help="Im(tau) for tau on the imaginary axis")
-
-
 def _report_payload(rep):
     return {
         "identity_id": rep.identity_id,
@@ -71,19 +67,28 @@ def _report_payload(rep):
     }
 
 
+def _all_passed(records):
+    ok = all(r["pass"] for r in records)
+    return {"records": records, "all_passed": ok}, ok
+
+
+def _dessin(rep):
+    stats = monodromy.dessin_stats(rep)
+    return {"vertices": stats.vertices, "edges": stats.edges}
+
+
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its payload, or (payload, passed) if it verifies
 # ---------------------------------------------------------------------------
 
 def _cmd_theta(args, tau):
-    value = theta(args.j, parse_complex(args.v), tau)
-    return {"re": value.real, "im": value.imag}, _EXIT_OK
+    return _cpx(theta(args.j, parse_complex(args.v), tau))
 
 
 def _cmd_elliptic(args, tau):
     ctx = EllipticContext(tau)
     u = parse_complex(args.v)
-    payload = {
+    return {
         "tau_im": tau.value.imag,
         "u": _cpx(u),
         "omega1": omega1(ctx),
@@ -94,100 +99,71 @@ def _cmd_elliptic(args, tau):
         "dn": dn(u, ctx),
         "cd": cd(u, ctx),
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_cb_build(args, tau):
-    cb = products.build(args.n, tau)
-    payload = {
-        "n": cb.n,
-        "tau_im": tau.value.imag,
+def _cmd_cb_build(args, cb):
+    return {
         "parity": cb.parity,
         "b": list(cb.b),
         "S": list(cb.S),
         "record": products.serialize(cb),
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_cb_eval(args, tau):
-    cb = products.build(args.n, tau)
+def _cmd_cb_eval(args, cb):
     z = parse_complex(args.z)
     fz_product = products.eval_product(cb, z)
     fz_expanded = products.eval_expanded(cb, z)
-    payload = {
-        "n": cb.n,
-        "tau_im": tau.value.imag,
+    return {
         "z": _cpx(z),
         "product": fz_product,
         "expanded": fz_expanded,
         "agreement": abs(fz_product - fz_expanded),
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_cb_coeffs(args, tau):
-    cb = products.build(args.n, tau)
+def _cmd_cb_coeffs(args, cb):
     if any(s < sys.float_info.min for s in cb.S):
         raise PrecisionError(
             f"S underflows double range (smallest {min(cb.S)}); no relative cross-check"
         )
-    s_der = products.coefficients_from_derivatives(args.n, tau)
-    residual = max(
-        abs(a - b) / abs(a) for a, b in zip(cb.S, s_der)
-    )
+    s_der = products.coefficients_from_derivatives(cb.n, cb.tau)
+    residual = max(abs(a - b) / abs(a) for a, b in zip(cb.S, s_der))
     if not residual <= products.COEFFICIENT_TOLERANCE:
         raise PrecisionError(
             f"derivative-route coefficients miss S by relative {residual:.3e}, "
             f"beyond {products.COEFFICIENT_TOLERANCE}"
         )
-    payload = {
-        "n": cb.n,
-        "tau_im": tau.value.imag,
+    return {
         "S": list(cb.S),
         "S_derivative_route": [float(x) for x in s_der],
         "cross_check_residual": residual,
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_cb_derivs(args, tau):
-    cb = products.build(args.n, tau)
-    payload = {
-        "n": cb.n,
-        "tau_im": tau.value.imag,
+def _cmd_cb_derivs(args, cb):
+    return {
         "orders": list(range(args.order + 1)),
         "values": products.derivatives_at_zero(cb, args.order),
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_cb_critical(args, tau):
-    cb = products.build(args.n, tau)
-    vals = products.critical_values(cb)
-    payload = {
-        "n": cb.n,
-        "tau_im": tau.value.imag,
-        "values": list(vals),
+def _cmd_cb_critical(args, cb):
+    return {
+        "values": list(products.critical_values(cb)),
         "sqrt_k_ntau": sqrt_k(cb.nctx).real,
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_cb_modulus(args, tau):
-    cb = products.build(args.n, tau)
-    payload = {
-        "n": cb.n,
-        "tau_im": tau.value.imag,
+def _cmd_cb_modulus(args, cb):
+    return {
         "lambda": products.modulus_lambda(cb),
         "normalized_modulus": products.normalized_modulus(cb),
     }
-    return payload, _EXIT_OK
 
 
 def _cmd_cb_compose(args, tau):
-    payload = products.compose_check(args.m, args.n, tau)
-    return payload, _EXIT_OK
+    return products.compose_check(args.m, args.n, tau)
 
 
 def _parse_rep(sigma1_text, sigma2_text, n):
@@ -217,83 +193,68 @@ def _cmd_monodromy_analyze(args):
         payload["euler_characteristic_disk"] = monodromy.euler_characteristic_disk(rep)
         payload["tree"] = monodromy.is_tree(rep)
         if payload["tree"]:
-            stats = monodromy.dessin_stats(rep)
-            payload["dessin"] = {"vertices": stats.vertices, "edges": stats.edges}
-    return payload, _EXIT_OK
+            payload["dessin"] = _dessin(rep)
+    return payload
 
 
 def _cmd_monodromy_equiv(args):
     rep1 = _parse_rep(args.sigma1, args.sigma2, args.n)
     rep2 = _parse_rep(args.other_sigma1, args.other_sigma2, args.n or rep1.n)
-    payload = {
-        "n": rep1.n,
-        "equivalent": monodromy.are_equivalent(rep1, rep2),
-    }
-    return payload, _EXIT_OK
+    return {"n": rep1.n, "equivalent": monodromy.are_equivalent(rep1, rep2)}
 
 
 def _cmd_monodromy_chebyshev(args):
     rep = monodromy.chebyshev_monodromy(args.n)
-    stats = monodromy.dessin_stats(rep)
-    payload = {
+    return {
         "n": rep.n,
         "sigma1": rep.sigma1.to_cycle_string(),
         "sigma2": rep.sigma2.to_cycle_string(),
         "tree": True,
-        "dessin": {"vertices": stats.vertices, "edges": stats.edges},
+        "dessin": _dessin(rep),
     }
-    return payload, _EXIT_OK
 
 
 def _cmd_modulus_annulus(args):
-    return {"r": args.r, "modulus": modulus.annulus_modulus(args.r)}, _EXIT_OK
+    return {"r": args.r, "modulus": modulus.annulus_modulus(args.r)}
 
 
 def _cmd_modulus_grotzsch(args):
-    return {"t": args.t, "modulus": modulus.grotzsch_modulus(args.t)}, _EXIT_OK
+    return {"t": args.t, "modulus": modulus.grotzsch_modulus(args.t)}
 
 
 def _cmd_modulus_geodesic(args):
     a = parse_complex(args.a)
     b = parse_complex(args.b)
     seg = modulus.GeodesicSegment(a, b)
-    payload = {
+    return {
         "a": _cpx(a),
         "b": _cpx(b),
         "pseudo_hyperbolic_distance": modulus.pseudo_hyperbolic_distance(a, b),
         "poincare_distance": modulus.poincare_distance(a, b),
         "modulus": modulus.disk_minus_geodesic_modulus(seg),
     }
-    return payload, _EXIT_OK
 
 
-def _cmd_modulus_dessin_size(args, tau):
-    cb = products.build(args.n, tau)
-    payload = {
-        "n": args.n,
-        "tau_im": tau.value.imag,
+def _cmd_modulus_dessin_size(args, cb):
+    return {
         "dessin_size": modulus.dessin_size(cb),
-        "expected": tau.value.imag / 4.0,
+        "expected": cb.tau.value.imag / 4.0,
     }
-    return payload, _EXIT_OK
 
 
 def _cmd_landen_verify(args, tau):
     rep = landen.verify_identity(args.id, tau)
-    return _report_payload(rep), _EXIT_OK if rep.passed else _EXIT_VERIFY
+    return _report_payload(rep), rep.passed
 
 
 def _cmd_landen_limit(args):
     rep = landen.trig_limit(args.id, args.y_large)
-    return _report_payload(rep), _EXIT_OK if rep.passed else _EXIT_VERIFY
+    return _report_payload(rep), rep.passed
 
 
 def _cmd_landen_all(args):
-    records = [_report_payload(r) for r in landen.run_catalog()]
-    records += [_report_payload(r) for r in landen.run_trig_limits()]
-    ok = all(r["pass"] for r in records)
-    payload = {"records": records, "all_passed": ok}
-    return payload, _EXIT_OK if ok else _EXIT_VERIFY
+    reports = landen.run_catalog() + landen.run_trig_limits()
+    return _all_passed([_report_payload(r) for r in reports])
 
 
 def _cmd_verify_all(args):
@@ -302,7 +263,9 @@ def _cmd_verify_all(args):
 
     seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
     results = acceptance.run_all(seed=seed)
-    records = [
+    for r in results:
+        print(f"{r.line()} [{r.seconds * 1e3:.1f} ms]", file=sys.stderr)
+    return _all_passed([
         {
             "criterion": r.number,
             "name": r.name,
@@ -312,17 +275,22 @@ def _cmd_verify_all(args):
             "detail": r.detail,
         }
         for r in results
-    ]
-    ok = all(r.passed for r in results)
-    for r in results:
-        print(f"{r.line()} [{r.seconds * 1e3:.1f} ms]", file=sys.stderr)
-    payload = {"records": records, "all_passed": ok}
-    return payload, _EXIT_OK if ok else _EXIT_VERIFY
+    ])
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
+
+def _command(group, name, handler, takes=None, **kwargs):
+    """Subcommand `name` run as handler(args), or with tau (takes="tau") or the
+    degree-n product (takes="cb") as well; either of the last two adds --tau-im."""
+    p = group.add_parser(name, **kwargs)
+    if takes:
+        p.add_argument("--tau-im", type=float, help="Im(tau) for tau on the imaginary axis")
+    p.set_defaults(handler=handler, takes=takes)
+    return p
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -332,96 +300,78 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("theta", help="evaluate a Jacobi theta function")
+    p = _command(sub, "theta", _cmd_theta, "tau", help="evaluate a Jacobi theta function")
     p.add_argument("--j", type=int, required=True, choices=(0, 1, 2, 3))
     p.add_argument("--v", default="0", help="argument as re or re,im")
-    _add_tau_flags(p)
     p.add_argument("--tau", help="complex tau as re,im")
-    p.set_defaults(handler=_cmd_theta)
-
-    p = sub.add_parser("elliptic", help="sn/cn/dn/cd and derived quantities")
+    p = _command(
+        sub, "elliptic", _cmd_elliptic, "tau", help="sn/cn/dn/cd and derived quantities"
+    )
     p.add_argument("--v", default="0", help="elliptic argument u as re or re,im")
-    _add_tau_flags(p)
     p.add_argument("--tau", help="complex tau as re,im")
-    p.set_defaults(handler=_cmd_elliptic)
 
     cb = sub.add_parser("cb", help="Chebyshev-Blaschke products").add_subparsers(
         dest="cb_command", required=True
     )
-    for name, handler, extra in (
-        ("build", _cmd_cb_build, ()),
-        ("eval", _cmd_cb_eval, ("z",)),
-        ("coeffs", _cmd_cb_coeffs, ()),
-        ("derivs", _cmd_cb_derivs, ("order",)),
-        ("critical", _cmd_cb_critical, ()),
-        ("modulus", _cmd_cb_modulus, ()),
-        ("compose", _cmd_cb_compose, ("m",)),
+    for name, handler in (
+        ("build", _cmd_cb_build),
+        ("eval", _cmd_cb_eval),
+        ("coeffs", _cmd_cb_coeffs),
+        ("derivs", _cmd_cb_derivs),
+        ("critical", _cmd_cb_critical),
+        ("modulus", _cmd_cb_modulus),
+        ("compose", _cmd_cb_compose),
     ):
-        p = cb.add_parser(name)
+        p = _command(cb, name, handler, "tau" if name == "compose" else "cb")
         p.add_argument("--n", type=int, required=True)
-        if "m" in extra:
+        if name == "compose":
             p.add_argument("--m", type=int, required=True)
-        if "z" in extra:
+        if name == "eval":
             p.add_argument("--z", required=True, help="evaluation point re,im")
-        if "order" in extra:
+        if name == "derivs":
             p.add_argument("--order", type=int, default=5)
-        _add_tau_flags(p)
-        p.set_defaults(handler=handler)
 
     mono = sub.add_parser("monodromy", help="permutation-pair analysis").add_subparsers(
         dest="monodromy_command", required=True
     )
-    p = mono.add_parser("analyze")
+    p = _command(mono, "analyze", _cmd_monodromy_analyze)
     p.add_argument("--sigma1", required=True, help='cycles "(1 2)(3 4)" or one-line "2 1 4 3"')
     p.add_argument("--sigma2", required=True)
     p.add_argument("--n", type=int, help="degree (default: largest point mentioned)")
-    p.set_defaults(handler=_cmd_monodromy_analyze)
-    p = mono.add_parser("equiv")
+    p = _command(mono, "equiv", _cmd_monodromy_equiv)
     p.add_argument("--sigma1", required=True)
     p.add_argument("--sigma2", required=True)
     p.add_argument("--other-sigma1", required=True)
     p.add_argument("--other-sigma2", required=True)
     p.add_argument("--n", type=int)
-    p.set_defaults(handler=_cmd_monodromy_equiv)
-    p = mono.add_parser("chebyshev")
+    p = _command(mono, "chebyshev", _cmd_monodromy_chebyshev)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_monodromy_chebyshev)
 
     mod = sub.add_parser("modulus", help="conformal moduli").add_subparsers(
         dest="modulus_command", required=True
     )
-    p = mod.add_parser("annulus")
+    p = _command(mod, "annulus", _cmd_modulus_annulus)
     p.add_argument("--r", type=float, required=True)
-    p.set_defaults(handler=_cmd_modulus_annulus)
-    p = mod.add_parser("grotzsch")
+    p = _command(mod, "grotzsch", _cmd_modulus_grotzsch)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(handler=_cmd_modulus_grotzsch)
-    p = mod.add_parser("geodesic")
+    p = _command(mod, "geodesic", _cmd_modulus_geodesic)
     p.add_argument("--a", required=True, help="endpoint re,im")
     p.add_argument("--b", required=True, help="endpoint re,im")
-    p.set_defaults(handler=_cmd_modulus_geodesic)
-    p = mod.add_parser("dessin-size")
+    p = _command(mod, "dessin-size", _cmd_modulus_dessin_size, "cb")
     p.add_argument("--n", type=int, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_modulus_dessin_size)
 
     lan = sub.add_parser("landen", help="Landen-type identity checks").add_subparsers(
         dest="landen_command", required=True
     )
-    p = lan.add_parser("verify")
+    p = _command(lan, "verify", _cmd_landen_verify, "tau")
     p.add_argument("--id", required=True, choices=sorted(landen.CATALOG))
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_landen_verify)
-    p = lan.add_parser("limit")
+    p = _command(lan, "limit", _cmd_landen_limit)
     p.add_argument("--id", required=True, choices=sorted(landen.CATALOG))
     p.add_argument("--y-large", type=float, default=landen.Y_LARGE)
-    p.set_defaults(handler=_cmd_landen_limit)
-    p = lan.add_parser("all")
-    p.set_defaults(handler=_cmd_landen_all)
+    _command(lan, "all", _cmd_landen_all)
 
-    p = sub.add_parser("verify-all", help="run the acceptance criteria")
+    p = _command(sub, "verify-all", _cmd_verify_all, help="run the acceptance criteria")
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_verify_all)
 
     return parser
 
@@ -429,18 +379,25 @@ def build_parser():
 def run(argv):
     """Execute one invocation; returns a CommandResult without printing.
 
-    tau is read here for every subcommand with --tau-im; every payload at a
-    degraded tau, ok or error, ends with "degraded": true.
+    The only place that reads tau, builds the product (whose commands' payloads
+    start with "n", "tau_im") and sets status and exit code.  Every payload at
+    a degraded tau, ok or error, ends with "degraded": true.
     """
     args = build_parser().parse_args(argv)
     tau = None
     try:
-        if "tau_im" in args:
-            tau = _tau_from(args)
-            payload, exit_code = args.handler(args, tau)
+        if args.takes is None:
+            out = args.handler(args)
         else:
-            payload, exit_code = args.handler(args)
-        status = "ok" if exit_code == _EXIT_OK else "verification_failure"
+            tau = _tau_from(args)
+            if args.takes == "tau":
+                out = args.handler(args, tau)
+            else:
+                cb = products.build(args.n, tau)
+                out = {"n": cb.n, "tau_im": tau.value.imag, **args.handler(args, cb)}
+        payload, passed = out if isinstance(out, tuple) else (out, True)
+        status = "ok" if passed else "verification_failure"
+        exit_code = _EXIT_OK if passed else _EXIT_VERIFY
     except ChebdiskError as exc:
         payload, exit_code = {"error": str(exc)}, _EXIT_INPUT
         status = (

@@ -10,7 +10,6 @@ each identity into an exact cosine identity.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .elliptic import k_modulus
 from .errors import DenominatorNearZero, DomainError
@@ -36,20 +35,6 @@ CATALOG = {
     "n6_e2": (6, 2),
     "n6_prod": (6, 3),
 }
-
-# Exact cosine targets of e_j / k^j as tau -> +i*infinity.
-TRIG_TARGETS = {
-    "n2_prod": Fraction(1, 2),
-    "n3_prod": Fraction(3, 4),
-    "n4_sum": Fraction(1, 1),
-    "n4_prod": Fraction(1, 8),
-    "n5_sum": Fraction(5, 4),
-    "n5_prod": Fraction(5, 16),
-    "n6_e1": Fraction(3, 2),
-    "n6_e2": Fraction(9, 16),
-    "n6_prod": Fraction(1, 32),
-}
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -133,6 +118,15 @@ def verify_identity(identity_id, tau):
     return _report(identity_id, tau, lhs, rhs, IDENTITY_TOLERANCE)
 
 
+def _trig_target(n, j):
+    """e_j of cos^2((2i-1)pi/2n), i = 1..n//2: (-1)^j [x^(n-2j)] T_n / 2^(n-1),
+    the limit of e_j / k^j as tau -> +i*infinity."""
+    prev, cur = [1], [0, 1]  # T_0, T_1, coefficients by ascending power
+    for _ in range(n - 1):  # T_{m+1} = 2x T_m - T_{m-1}
+        prev, cur = cur, [2 * a - b for a, b in zip([0] + cur, prev + [0, 0])]
+    return (-1) ** j * cur[n - 2 * j] / 2 ** (n - 1)
+
+
 def trig_limit(identity_id, y_large=Y_LARGE):
     """e_j / k(tau)^j at tau = i*y_large against the exact cosine constant."""
     if identity_id not in CATALOG:
@@ -141,8 +135,7 @@ def trig_limit(identity_id, y_large=Y_LARGE):
     tau = UpperHalfPoint(complex(0.0, y_large))
     cb = build(n, tau)
     lhs = cb.S[j - 1] / k_modulus(cb.ctx) ** j
-    rhs = float(TRIG_TARGETS[identity_id])
-    return _report(identity_id, tau, lhs, rhs, TRIG_TOLERANCE)
+    return _report(identity_id, tau, lhs, _trig_target(n, j), TRIG_TOLERANCE)
 
 
 def run_catalog():

@@ -50,9 +50,6 @@ class Permutation:
         object.__setattr__(perm, "n", len(images))
         return perm
 
-    def __call__(self, point):
-        return self.images[point - 1]
-
     def apply_then(self, other):
         """The composite 'self first, then other'."""
         if other.n < self.n:
@@ -98,10 +95,6 @@ class Permutation:
             if len(c) > 1
         ]
         return "".join(parts) if parts else "()"
-
-    @staticmethod
-    def identity(n):
-        return Permutation(tuple(range(1, n + 1)))
 
 
 def cycle_count(perm):

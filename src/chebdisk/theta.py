@@ -143,11 +143,18 @@ def theta(j, v, tau):
         if tau.on_imaginary_axis and v.imag == 0.0 and math.isfinite(v.real):
             total = _series_real(j, v.real, tval.imag)
         else:
-            total = _series(j, v, tval)
+            # theta_j(v, tau + m) = i^m theta_j(v, tau) for j = 1, 2 and
+            # theta_j(v, tau) for j = 0, 3; tau - m is exact in floats.
+            m = round(tval.real)
+            total = _series(j, v, tval - m)
+            if total is not None and j in (1, 2):
+                for _ in range(m % 4):  # each quarter turn is exact
+                    total = complex(-total.imag, total.real)
         if total is not None:
             return total
         reason = f"did not meet rel_tol={REL_TOL} within max_index={MAX_INDEX}"
-    except OverflowError:
+    except (OverflowError, ValueError):
+        # ValueError: a finite k*v overflowing to an infinite angle
         reason = "has a term beyond double range"
     if not cmath.isfinite(v):
         raise DomainError(f"theta{j}: v must be finite, got {v}")

@@ -195,6 +195,10 @@ def test_axis_only_commands_refuse_complex_tau(argv, capsys):
         ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "inf,0"),
         ("cb", "eval", "--n", "3", "--tau-im", "1", "--z", "1e200,0"),
         ("theta", "--j", "3", "--v", "0,400", "--tau-im", "1"),
+        # a finite v whose angle k*v overflows
+        ("theta", "--j", "3", "--v", "1e308,0", "--tau-im", "1"),
+        ("theta", "--j", "3", "--v", "1e308,0.5", "--tau-im", "1"),
+        ("elliptic", "--v", "1e308", "--tau-im", "1"),
         ("cb", "derivs", "--n", "3", "--tau-im", "300", "--order", "9"),
         ("cb", "derivs", "--n", "3", "--tau-im", "1", "--order", "200"),
         ("cb", "derivs", "--n", "3", "--tau-im", "1", "--order", "-1"),
@@ -311,6 +315,16 @@ def test_cli_import_leaves_mpmath_out():
     )
     assert code == 0, err
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_fractions_out():
+    code, out, err = run_python(
+        "-c",
+        "import sys, chebdisk.cli;"
+        " print('fractions' in sys.modules, 'decimal' in sys.modules)",
+    )
+    assert code == 0, err
+    assert out.strip() == "False False"
 
 
 def test_cli_import_leaves_acceptance_out():

@@ -64,7 +64,8 @@ def test_trig_targets_are_the_nine_constants():
         "n6_e2": Fraction(9, 16),
         "n6_prod": Fraction(1, 32),
     }
-    assert landen.TRIG_TARGETS == expected
+    for identity_id, target in expected.items():
+        assert landen.trig_limit(identity_id).rhs == float(target), identity_id
 
 
 @pytest.mark.parametrize("identity_id", sorted(landen.CATALOG))

@@ -222,6 +222,21 @@ def test_tau_shift_theta2_carries_phase_i():
             assert rel_err(lhs, rhs) <= 1e-12
 
 
+def test_large_re_tau_is_reduced_mod_1():
+    # theta_j(v, x + m + i) = i^{m [j in {1, 2}]} theta_j(v, x + i); summed at
+    # x + m unreduced, the phases lost up to 1.4e-8 relative by m = 4e8
+    references = {
+        (j, v): oracle_theta(j, v, 0.375 + 1j)
+        for j in range(4)
+        for v in (0.0, 0.3, 0.7 + 0.2j)
+    }
+    for m in (1, 2, 3, -5, 40001, 4000003, 400000001, -400000001):
+        for (j, v), reference in references.items():
+            phase = 1j ** (m % 4) if j in (1, 2) else 1
+            got = theta(j, v, uhp(0.375 + m + 1j))
+            assert rel_err(got, phase * reference) <= 1e-15, (j, v, m)
+
+
 @pytest.mark.parametrize("pair", [(3, 3), (2, 0)])
 def test_modular_inversion(pair):
     j_left, j_right = pair
