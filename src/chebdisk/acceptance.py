@@ -47,10 +47,6 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _uhp(value):
-    return UpperHalfPoint(complex(value))
-
-
 def criterion_1_theta_transforms():
     """Quartic relation, tau-shift / inversion transforms, Gamma0(4) transform.
 
@@ -59,12 +55,12 @@ def criterion_1_theta_transforms():
     """
     worst = 0.0
     for tval in _THETA_GRID:
-        tau = _uhp(tval)
+        tau = UpperHalfPoint(tval)
         t2, t3, t0 = (theta(j, 0.0, tau) for j in (2, 3, 0))
         worst = max(worst, _rel(t3**4, t2**4 + t0**4))
-        tau_plus = _uhp(tval + 1)
-        tau_quarter = _uhp(tval / 4)
-        tau_inv = _uhp(-1 / tval)
+        tau_plus = UpperHalfPoint(tval + 1)
+        tau_quarter = UpperHalfPoint(tval / 4)
+        tau_inv = UpperHalfPoint(-1 / tval)
         for v in _V_POINTS:
             worst = max(worst, _rel(theta(3, v, tau_plus), theta(3, v, tau)))
             worst = max(worst, _rel(theta(2, v, tau_plus), 1j * theta(2, v, tau)))
@@ -85,10 +81,10 @@ def criterion_1_theta_transforms():
                     prefactor * theta(0, tval * v / 2, tau_quarter),
                 ),
             )
-        worst = max(worst, _rel(theta(3, 0.0, _uhp(tval - 0.5)), theta(0, 0.0, tau)))
+        worst = max(worst, _rel(theta(3, 0.0, UpperHalfPoint(tval - 0.5)), theta(0, 0.0, tau)))
     for tval in (1j, 2j, 0.25 + 1j):
-        tau = _uhp(tval)
-        moved = _uhp(tval / (4 * tval + 1))
+        tau = UpperHalfPoint(tval)
+        moved = UpperHalfPoint(tval / (4 * tval + 1))
         worst = max(
             worst, _rel(theta(3, 0.0, moved), cmath.sqrt(4 * tval + 1) * theta(3, 0.0, tau))
         )
@@ -104,7 +100,7 @@ def criterion_2_cd_degeneration():
     us = [-2.0 + 4.0 * i / 31 for i in range(32)]
     errs = {}
     for y in (10, 20, 40):
-        ctx = EllipticContext(_uhp(1j * y))
+        ctx = EllipticContext(UpperHalfPoint(1j * y))
         errs[y] = max(abs(cd(u, ctx) - math.cos(u)) for u in us)
     passed = errs[20] <= 1e-10 and errs[40] <= errs[20] <= errs[10]
     return CriterionResult(
@@ -121,7 +117,7 @@ def criterion_3_blaschke_geometry(seed=DEFAULT_SEED):
     contraction_ok = True
     for n in range(1, 9):
         for y in (0.8, 1.0, 2.0):
-            cb = products.build(n, _uhp(1j * y))
+            cb = products.build(n, UpperHalfPoint(1j * y))
             for idx in range(64):
                 z = cmath.exp(2j * math.pi * idx / 64)
                 worst_boundary = max(
@@ -152,7 +148,7 @@ def criterion_4_functional_definition():
     us = [0.05 + 1.95 * i / 19 for i in range(20)]
     for n in (2, 3, 4):
         for y in (0.5, 1.0):
-            cb = products.build(n, _uhp(1j * y))
+            cb = products.build(n, UpperHalfPoint(1j * y))
             ctx, nctx = cb.ctx, cb.nctx
             for u in us:
                 z = sqrt_k(ctx) * cd(omega1(ctx) * u, ctx)
@@ -171,7 +167,7 @@ def criterion_5_composition():
     worst = 0.0
     for m, n in ((2, 2), (2, 3), (3, 2), (1, 5)):
         for y in (0.5, 1.0):
-            rep = products.compose_check(m, n, _uhp(1j * y))
+            rep = products.compose_check(m, n, UpperHalfPoint(1j * y))
             worst = max(worst, rep["max_deviation"])
     tol = 1e-9
     return CriterionResult(
@@ -186,7 +182,7 @@ def criterion_6_coefficient_oracles():
     worst = 0.0
     for n in range(2, 11):
         for y in (0.5, 1.0, 2.0):
-            tau = _uhp(1j * y)
+            tau = UpperHalfPoint(1j * y)
             s_sym = products.build(n, tau).S
             s_der = products.coefficients_from_derivatives(n, tau)
             s_div = products.coefficients_from_longdivision(n, tau)
@@ -207,7 +203,7 @@ def criterion_7_critical_values():
     signs_ok = True
     for n in range(2, 12):
         for y in (0.3, 0.5, 1.0, 2.0):
-            cb = products.build(n, _uhp(1j * y))
+            cb = products.build(n, UpperHalfPoint(1j * y))
             vals = products.critical_values(cb)
             ref = sqrt_k(cb.nctx).real
             for v in vals:
@@ -226,7 +222,7 @@ def criterion_7_critical_values():
 def criterion_8_chebyshev_degeneration():
     """Elliptic rational functions at tau = 10i match Chebyshev polynomials."""
     worst = 0.0
-    tau = _uhp(10j)
+    tau = UpperHalfPoint(10j)
     xs = [-1.0 + 2.0 * i / 20 for i in range(21)]
     for n in range(1, 7):
         cb = products.build(n, tau)
@@ -322,7 +318,7 @@ def criterion_10_modulus_keystone():
     worst = 0.0
     for n in (1, 2, 3, 4):
         for y in (0.5, 1.0, 2.0):
-            tau = _uhp(1j * y)
+            tau = UpperHalfPoint(1j * y)
             s = sqrt_k(EllipticContext(tau.scaled(n))).real
             M = modulus.disk_minus_geodesic_modulus(modulus.GeodesicSegment(-s, s))
             worst = max(worst, abs(M - n * y / 4.0))
@@ -333,7 +329,7 @@ def criterion_10_modulus_keystone():
     worst_dessin = 0.0
     for n in (2, 3, 4):
         for y in (0.5, 1.0, 2.0):
-            cb = products.build(n, _uhp(1j * y))
+            cb = products.build(n, UpperHalfPoint(1j * y))
             worst_dessin = max(worst_dessin, abs(modulus.dessin_size(cb) - y / 4.0))
     passed = worst <= 1e-8 and anchor <= 1e-10 and worst_dessin <= 1e-8
     return CriterionResult(

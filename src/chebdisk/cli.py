@@ -167,14 +167,10 @@ def _cmd_cb_compose(args, tau):
 
 
 def _parse_rep(sigma1_text, sigma2_text, n):
-    s1 = monodromy.parse_permutation(sigma1_text, n)
-    s2 = monodromy.parse_permutation(sigma2_text, n)
-    size = max(s1.n, s2.n) if n is None else n
-    if s1.n < size:
-        s1 = monodromy.parse_permutation(sigma1_text, size)
-    if s2.n < size:
-        s2 = monodromy.parse_permutation(sigma2_text, size)
-    return monodromy.MonodromyRep(size, s1, s2)
+    texts = (sigma1_text, sigma2_text)
+    if n is None:
+        n = max(monodromy.parse_permutation(t).n for t in texts)
+    return monodromy.MonodromyRep(n, *(monodromy.parse_permutation(t, n) for t in texts))
 
 
 def _cmd_monodromy_analyze(args):
@@ -413,9 +409,7 @@ def run(argv):
 def render(result, fmt):
     document = {"status": result.status, "payload": result.payload}
     if fmt == "csv":
-        header, rows = flatten_for_csv(
-            result.payload if isinstance(result.payload, dict) else {"value": result.payload}
-        )
+        header, rows = flatten_for_csv(result.payload)
         return render_csv(["status"] + list(header), [[result.status] + row for row in rows])
     return render_json(document) + "\n"
 

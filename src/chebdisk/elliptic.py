@@ -65,7 +65,7 @@ def omega1(ctx):
 
 def k_modulus(ctx):
     """k(tau) = theta2(0)^2 / theta3(0)^2."""
-    return (ctx.theta2_null / _divisor(ctx, 3)) ** 2
+    return sqrt_k(ctx) ** 2
 
 
 def sqrt_k(ctx):
@@ -73,43 +73,31 @@ def sqrt_k(ctx):
     return ctx.theta2_null / _divisor(ctx, 3)
 
 
-def _theta_arg(u, ctx):
-    return complex(u) / _divisor(ctx, 3) ** 2
-
-
-def _quotient(num_j, den_j, w, ctx):
+def _jacobi(u, ctx, top, bottom, num_j, den_j):
+    """ctx.<top>/theta_bottom(0) * theta_num_j(w)/theta_den_j(w), w = u/theta3(0)^2."""
+    # theta3(0) is read first, so a failure names it; top is a name, as f-strings are slow
+    w = complex(u) / _divisor(ctx, 3) ** 2
+    scale = getattr(ctx, top) / _divisor(ctx, bottom)
     num = theta(num_j, w, ctx.tau)
     den = theta(den_j, w, ctx.tau)
     if abs(den) < _POLE_RATIO * abs(num):
         raise PoleError(
             f"theta{den_j}({w}) ~ 0 relative to theta{num_j}; pole of the quotient"
         )
-    return num, den
+    return scale * num / den
 
 
 def sn(u, ctx):
-    w = _theta_arg(u, ctx)
-    scale = ctx.theta3_null / _divisor(ctx, 2)
-    num, den = _quotient(1, 0, w, ctx)
-    return scale * num / den
+    return _jacobi(u, ctx, "theta3_null", 2, 1, 0)
 
 
 def cn(u, ctx):
-    w = _theta_arg(u, ctx)
-    scale = ctx.theta0_null / _divisor(ctx, 2)
-    num, den = _quotient(2, 0, w, ctx)
-    return scale * num / den
+    return _jacobi(u, ctx, "theta0_null", 2, 2, 0)
 
 
 def dn(u, ctx):
-    w = _theta_arg(u, ctx)
-    scale = ctx.theta0_null / _divisor(ctx, 3)
-    num, den = _quotient(3, 0, w, ctx)
-    return scale * num / den
+    return _jacobi(u, ctx, "theta0_null", 3, 3, 0)
 
 
 def cd(u, ctx):
-    w = _theta_arg(u, ctx)
-    scale = ctx.theta3_null / _divisor(ctx, 2)
-    num, den = _quotient(2, 3, w, ctx)
-    return scale * num / den
+    return _jacobi(u, ctx, "theta3_null", 2, 2, 3)

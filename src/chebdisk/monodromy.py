@@ -105,76 +105,65 @@ def cycle_count(perm):
 def parse_permutation(text, n=None):
     """Parse "(1 2)(3 4)" cycle notation or "2 1 4 3" one-line notation.
 
-    For cycle notation the degree is n when given, otherwise the largest
-    point mentioned.  Out-of-range and duplicate entries are rejected with
-    the offending position in the message.
+    A point is decimal digits after at most one '+'.  For cycle notation the
+    degree is n when given, otherwise the largest point mentioned.  Out-of-range
+    and duplicate entries are rejected with the offending position in the message.
     """
     text = text.strip()
     if not text:
         raise ParseError("empty permutation text")
-    if text.startswith("("):
-        return _parse_cycles(text, n)
-    return _parse_one_line(text, n)
-
-
-def _parse_one_line(text, n):
-    images = []
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
-        if not token.lstrip("+").isdigit():
-            raise ParseError(f"expected integer, got {token!r}", match.start())
-        images.append(int(token))
-    if n is not None and len(images) != n:
-        raise ParseError(f"one-line notation lists {len(images)} points, expected {n}")
-    size = len(images)
+    one_line = not text.startswith("(")
+    cycles = [_points(text, 0)] if one_line else _bracket_scan(text)
+    points = [point for cyc in cycles for point in cyc]
+    if one_line:
+        if n is not None and len(points) != n:
+            raise ParseError(f"one-line notation lists {len(points)} points, expected {n}")
+        n = len(points)
+    elif n is None:
+        n = max((val for val, _ in points), default=1)
     seen = set()
-    for match, val in zip(re.finditer(r"\S+", text), images):
-        if not 1 <= val <= size:
-            raise ParseError(f"point {val} out of range 1..{size}", match.start())
+    for val, pos in points:
+        if not 1 <= val <= n:
+            raise ParseError(f"point {val} out of range 1..{n}", pos)
         if val in seen:
-            raise ParseError(f"duplicate point {val}", match.start())
+            raise ParseError(f"duplicate point {val}", pos)
         seen.add(val)
+    if one_line:
+        return Permutation(tuple(val for val, _ in points))
+    images = list(range(1, n + 1))
+    for cyc in cycles:
+        for i, (val, _) in enumerate(cyc):
+            images[val - 1] = cyc[(i + 1) % len(cyc)][0]
     return Permutation(tuple(images))
 
 
-def _parse_cycles(text, n):
+def _points(text, offset):
+    """(value, position) of each whitespace-separated token of text."""
     points = []
+    for match in re.finditer(r"\S+", text):
+        token, pos = match.group(), offset + match.start()
+        if not re.fullmatch(r"\+?\d+", token):
+            raise ParseError(f"expected integer, got {token!r}", pos)
+        points.append((int(token), pos))
+    return points
+
+
+def _bracket_scan(text):
+    """The points of each "(...)" group of cycle notation, in order."""
     cycles = []
     pos = 0
     while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
+        if text[pos].isspace():
             pos += 1
             continue
-        if ch != "(":
-            raise ParseError(f"expected '(', got {ch!r}", pos)
+        if text[pos] != "(":
+            raise ParseError(f"expected '(', got {text[pos]!r}", pos)
         end = text.find(")", pos)
         if end < 0:
             raise ParseError("unclosed cycle", pos)
-        body = text[pos + 1 : end]
-        cyc = []
-        for match in re.finditer(r"\S+", body):
-            token = match.group()
-            if not token.isdigit():
-                raise ParseError(f"expected integer, got {token!r}", pos + 1 + match.start())
-            val = int(token)
-            if val < 1:
-                raise ParseError(f"points are 1-based, got {val}", pos + 1 + match.start())
-            if val in points:
-                raise ParseError(f"duplicate point {val}", pos + 1 + match.start())
-            points.append(val)
-            cyc.append(val)
-        cycles.append(cyc)
+        cycles.append(_points(text[pos + 1 : end], pos + 1))
         pos = end + 1
-    size = n if n is not None else (max(points) if points else 1)
-    for val in points:
-        if val > size:
-            raise ParseError(f"point {val} out of range 1..{size}")
-    images = list(range(1, size + 1))
-    for cyc in cycles:
-        for i, val in enumerate(cyc):
-            images[val - 1] = cyc[(i + 1) % len(cyc)]
-    return Permutation(tuple(images))
+    return cycles
 
 
 @dataclass(frozen=True)

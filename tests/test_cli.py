@@ -203,6 +203,10 @@ def test_axis_only_commands_refuse_complex_tau(argv, capsys):
         ("cb", "derivs", "--n", "3", "--tau-im", "1", "--order", "200"),
         ("cb", "derivs", "--n", "3", "--tau-im", "1", "--order", "-1"),
         ("cb", "derivs", "--n", "0", "--tau-im", "1", "--order", "3"),
+        # tokens that look numeric but that int() refuses
+        ("monodromy", "analyze", "--sigma1", "2 1 ++3", "--sigma2", "()"),
+        ("monodromy", "analyze", "--sigma1", "(1 ²)", "--sigma2", "()"),
+        ("monodromy", "analyze", "--sigma1", "2 1 ³", "--sigma2", "()"),
     ],
     ids=" ".join,
 )

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from chebdisk.elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
-from chebdisk.errors import DomainError, PoleError
+from chebdisk.errors import DomainError, PoleError, PrecisionError
 from chebdisk.theta import UpperHalfPoint
 
 from helpers import (
@@ -123,3 +123,11 @@ def test_context_constructs_where_a_null_is_subnormal():
     ctx = EllipticContext(UpperHalfPoint(460j))
     assert 0.0 < abs(ctx.theta2_null) < 1e-300
     assert abs(sqrt_k(ctx)) < 1e-300
+
+
+@pytest.mark.parametrize("f", [sn, cn, dn, cd], ids=lambda f: f.__name__)
+def test_theta3_null_is_read_first(f):
+    # every null fails here; theta3 is read first, for w = u / theta3(0)^2
+    with pytest.raises(PrecisionError) as err:
+        f(0.3, EllipticContext(UpperHalfPoint(0.001j)))
+    assert str(err.value).startswith("theta3(v=0j")

@@ -57,6 +57,14 @@ def test_parse_errors_carry_positions():
         mono.parse_permutation("")
 
 
+@pytest.mark.parametrize("text", ["2 1 ++3", "(1 ²)", "2 1 ³"])
+def test_parse_refuses_what_int_cannot_read(text):
+    with pytest.raises(ParseError, match="expected integer") as err:
+        mono.parse_permutation(text)
+    assert err.value.position is not None
+    assert mono.parse_permutation("(+2 1)") == mono.parse_permutation("(1 2)")
+
+
 def test_parse_identity_cycles():
     p = mono.parse_permutation("()", 3)
     assert p == mono.Permutation(tuple(range(1, 4)))
