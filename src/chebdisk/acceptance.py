@@ -11,10 +11,10 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from . import landen, modulus, monodromy, products
+from ._value import Value
 from .elliptic import EllipticContext, cd, omega1, sqrt_k
 from .theta import UpperHalfPoint, theta
 
@@ -24,16 +24,18 @@ _THETA_GRID = (0.3j, 0.5j, 1j, 2j, 0.25 + 0.75j)
 _V_POINTS = (0.0, 0.3, 0.7, 1.1)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    worst: float
-    tolerance: float
-    detail: str
-    # wall time, set by run_all; 0.0 when a criterion is called directly
-    seconds: float = field(default=0.0, compare=False)
+class CriterionResult(Value):
+    __slots__ = _fields = (
+        "number", "name", "passed", "worst", "tolerance", "detail", "seconds"
+    )
+
+    def __init__(self, number, name, passed, worst, tolerance, detail, seconds=0.0):
+        # seconds: wall time, set by run_all; 0.0 when a criterion is called
+        # directly; == and hash leave it out
+        self._assign(number, name, passed, worst, tolerance, detail, seconds)
+
+    def _key(self):
+        return super()._key()[:-1]
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -378,5 +380,5 @@ def run_all(seed=DEFAULT_SEED):
             result = fn(seed=seed)
         else:
             result = fn()
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return results

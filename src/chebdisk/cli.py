@@ -5,14 +5,16 @@ One invocation writes one structured document (JSON by default, CSV with
 1 verification failure, 2 for input/domain/precision problems.  Output is
 byte-identical across repeated invocations: fixed seeds, fixed key order,
 floats at 17 significant digits.
+
+Each handler imports the library modules it calls, so that one invocation
+loads only what its subcommand runs; the parser needs just landen's catalog.
 """
 
 import argparse
 import cmath
 import sys
 
-from . import landen, modulus, monodromy, products
-from .elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
+from . import landen
 from .errors import ChebdiskError, DomainError, ParseError, PrecisionError
 from .jsonio import flatten_for_csv, render_csv, render_json
 from .theta import UpperHalfPoint, theta
@@ -73,6 +75,8 @@ def _all_passed(records):
 
 
 def _dessin(rep):
+    from . import monodromy
+
     stats = monodromy.dessin_stats(rep)
     return {"vertices": stats.vertices, "edges": stats.edges}
 
@@ -86,6 +90,8 @@ def _cmd_theta(args, tau):
 
 
 def _cmd_elliptic(args, tau):
+    from .elliptic import EllipticContext, cd, cn, dn, k_modulus, omega1, sn, sqrt_k
+
     ctx = EllipticContext(tau)
     u = parse_complex(args.v)
     return {
@@ -102,6 +108,8 @@ def _cmd_elliptic(args, tau):
 
 
 def _cmd_cb_build(args, cb):
+    from . import products
+
     return {
         "parity": cb.parity,
         "b": list(cb.b),
@@ -111,6 +119,8 @@ def _cmd_cb_build(args, cb):
 
 
 def _cmd_cb_eval(args, cb):
+    from . import products
+
     z = parse_complex(args.z)
     fz_product = products.eval_product(cb, z)
     fz_expanded = products.eval_expanded(cb, z)
@@ -123,6 +133,8 @@ def _cmd_cb_eval(args, cb):
 
 
 def _cmd_cb_coeffs(args, cb):
+    from . import products
+
     if any(s < sys.float_info.min for s in cb.S):
         raise PrecisionError(
             f"S underflows double range (smallest {min(cb.S)}); no relative cross-check"
@@ -142,6 +154,8 @@ def _cmd_cb_coeffs(args, cb):
 
 
 def _cmd_cb_derivs(args, cb):
+    from . import products
+
     return {
         "orders": list(range(args.order + 1)),
         "values": products.derivatives_at_zero(cb, args.order),
@@ -149,6 +163,9 @@ def _cmd_cb_derivs(args, cb):
 
 
 def _cmd_cb_critical(args, cb):
+    from . import products
+    from .elliptic import sqrt_k
+
     return {
         "values": list(products.critical_values(cb)),
         "sqrt_k_ntau": sqrt_k(cb.nctx).real,
@@ -156,6 +173,8 @@ def _cmd_cb_critical(args, cb):
 
 
 def _cmd_cb_modulus(args, cb):
+    from . import products
+
     return {
         "lambda": products.modulus_lambda(cb),
         "normalized_modulus": products.normalized_modulus(cb),
@@ -163,10 +182,14 @@ def _cmd_cb_modulus(args, cb):
 
 
 def _cmd_cb_compose(args, tau):
+    from . import products
+
     return products.compose_check(args.m, args.n, tau)
 
 
 def _parse_rep(sigma1_text, sigma2_text, n):
+    from . import monodromy
+
     texts = (sigma1_text, sigma2_text)
     if n is None:
         n = max(monodromy.parse_permutation(t).n for t in texts)
@@ -174,6 +197,8 @@ def _parse_rep(sigma1_text, sigma2_text, n):
 
 
 def _cmd_monodromy_analyze(args):
+    from . import monodromy
+
     rep = _parse_rep(args.sigma1, args.sigma2, args.n)
     transitive = monodromy.is_transitive(rep)
     payload = {
@@ -194,12 +219,16 @@ def _cmd_monodromy_analyze(args):
 
 
 def _cmd_monodromy_equiv(args):
+    from . import monodromy
+
     rep1 = _parse_rep(args.sigma1, args.sigma2, args.n)
     rep2 = _parse_rep(args.other_sigma1, args.other_sigma2, args.n or rep1.n)
     return {"n": rep1.n, "equivalent": monodromy.are_equivalent(rep1, rep2)}
 
 
 def _cmd_monodromy_chebyshev(args):
+    from . import monodromy
+
     rep = monodromy.chebyshev_monodromy(args.n)
     return {
         "n": rep.n,
@@ -211,14 +240,20 @@ def _cmd_monodromy_chebyshev(args):
 
 
 def _cmd_modulus_annulus(args):
+    from . import modulus
+
     return {"r": args.r, "modulus": modulus.annulus_modulus(args.r)}
 
 
 def _cmd_modulus_grotzsch(args):
+    from . import modulus
+
     return {"t": args.t, "modulus": modulus.grotzsch_modulus(args.t)}
 
 
 def _cmd_modulus_geodesic(args):
+    from . import modulus
+
     a = parse_complex(args.a)
     b = parse_complex(args.b)
     seg = modulus.GeodesicSegment(a, b)
@@ -232,6 +267,8 @@ def _cmd_modulus_geodesic(args):
 
 
 def _cmd_modulus_dessin_size(args, cb):
+    from . import modulus
+
     return {
         "dessin_size": modulus.dessin_size(cb),
         "expected": cb.tau.value.imag / 4.0,
@@ -389,7 +426,9 @@ def run(argv):
             if args.takes == "tau":
                 out = args.handler(args, tau)
             else:
-                cb = products.build(args.n, tau)
+                from .products import build
+
+                cb = build(args.n, tau)
                 out = {"n": cb.n, "tau_im": tau.value.imag, **args.handler(args, cb)}
         payload, passed = out if isinstance(out, tuple) else (out, True)
         status = "ok" if passed else "verification_failure"

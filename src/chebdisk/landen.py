@@ -9,11 +9,8 @@ n = 4, 5, 6.  Dividing e_j by k(tau)^j and letting tau -> +i*infinity turns
 each identity into an exact cosine identity.
 """
 
-from dataclasses import dataclass
-
-from .elliptic import k_modulus
+from ._value import Value
 from .errors import DenominatorNearZero, DomainError
-from .products import build
 from .theta import UpperHalfPoint
 
 IDENTITY_TOLERANCE = 1e-10
@@ -36,17 +33,15 @@ CATALOG = {
     "n6_prod": (6, 3),
 }
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Value):
     """Two evaluated sides of one identity at one tau."""
 
-    identity_id: str
-    tau: UpperHalfPoint
-    lhs: complex
-    rhs: complex
-    residual: float
-    tolerance: float
-    passed: bool
+    __slots__ = _fields = (
+        "identity_id", "tau", "lhs", "rhs", "residual", "tolerance", "passed"
+    )
+
+    def __init__(self, identity_id, tau, lhs, rhs, residual, tolerance, passed):
+        self._assign(identity_id, tau, lhs, rhs, residual, tolerance, passed)
 
 
 def _report(identity_id, tau, lhs, rhs, tolerance):
@@ -83,6 +78,10 @@ def verify_identity(identity_id, tau):
     """
     if identity_id not in CATALOG:
         raise DomainError(f"unknown identity id {identity_id!r}")
+    # imported here and in trig_limit: the CLI's parser reads CATALOG, and
+    # a command without a product should not load products
+    from .products import build
+
     n, j = CATALOG[identity_id]
     cb = build(n, tau)
     lhs = cb.S[j - 1]
@@ -131,6 +130,9 @@ def trig_limit(identity_id, y_large=Y_LARGE):
     """e_j / k(tau)^j at tau = i*y_large against the exact cosine constant."""
     if identity_id not in CATALOG:
         raise DomainError(f"unknown identity id {identity_id!r}")
+    from .elliptic import k_modulus
+    from .products import build
+
     n, j = CATALOG[identity_id]
     tau = UpperHalfPoint(complex(0.0, y_large))
     cb = build(n, tau)

@@ -8,29 +8,26 @@ products.modulus_lambda.)
 """
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError, PrecisionError
 
 _AGM_REL_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class GeodesicSegment:
+class GeodesicSegment(Value):
     """Hyperbolic geodesic between two distinct points of the unit disk."""
 
-    a: complex
-    b: complex
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        a = complex(self.a)
-        b = complex(self.b)
+    def __init__(self, a, b):
+        a = complex(a)
+        b = complex(b)
         if abs(a) >= 1.0 or abs(b) >= 1.0:
             raise DomainError(f"endpoints must lie inside the disk: {a}, {b}")
         if a == b:
             raise DomainError("endpoints must be distinct")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._assign(a, b)
 
 
 def pseudo_hyperbolic_distance(a, b):
@@ -102,6 +99,10 @@ def dessin_size(cb):
     nctx = cb.nctx
     t0, t2, t3 = nctx.theta0_null.real, nctx.theta2_null.real, nctx.theta3_null.real
     sk = t2 / t3
+    if sk == 0.0:
+        raise PrecisionError(
+            f"sqrt(k(n tau)) underflows to 0 at n={cb.n}, Im(tau)={cb.tau.value.imag}"
+        )
     k = sk * sk
     k_comp = (t0 / t3) ** 2
     # The geodesic between +-sqrt(k) moves to a radial slit of length

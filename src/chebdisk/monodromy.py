@@ -8,8 +8,8 @@ downstream and those are convention-invariant.
 
 import operator
 import re
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError, NotTransitiveError, NotTreeError, ParseError
 
 
@@ -21,19 +21,18 @@ def _as_int(value, what):
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """One-line notation over {1..n}: images[i-1] is the image of i.
 
     images is the only field; the degree n is stored beside it at
     construction and the cycles once first asked for.
     """
 
-    images: tuple
-    _cycles = None
+    __slots__ = ("images", "n", "_cycles")
+    _fields = ("images",)
 
-    def __post_init__(self):
-        images = tuple(_as_int(x, "a permutation image") for x in self.images)
+    def __init__(self, images):
+        images = tuple(_as_int(x, "a permutation image") for x in images)
         n = len(images)
         if n == 0:
             raise DomainError("permutation must act on at least one point")
@@ -67,8 +66,10 @@ class Permutation:
 
     def cycles(self):
         """The cycles, fixed points included, each starting at its least point."""
-        if self._cycles is not None:
+        try:
             return self._cycles
+        except AttributeError:
+            pass
         seen = [False] * self.n
         out = []
         for start in range(1, self.n + 1):
@@ -144,7 +145,10 @@ def _points(text, offset):
         token, pos = match.group(), offset + match.start()
         if not re.fullmatch(r"\+?\d+", token):
             raise ParseError(f"expected integer, got {token!r}", pos)
-        points.append((int(token), pos))
+        try:
+            points.append((int(token), pos))
+        except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+            raise ParseError(f"point of {len(token)} characters out of range", pos) from None
     return points
 
 
@@ -166,30 +170,28 @@ def _bracket_scan(text):
     return cycles
 
 
-@dataclass(frozen=True)
-class MonodromyRep:
+class MonodromyRep(Value):
     """Degree plus the two generator images.
 
     Transitivity is stored beside them at construction and the canonical
     form once first asked for.
     """
 
-    n: int
-    sigma1: Permutation
-    sigma2: Permutation
-    _canonical = None
+    __slots__ = ("n", "sigma1", "sigma2", "_transitive", "_canonical")
+    _fields = ("n", "sigma1", "sigma2")
 
-    def __post_init__(self):
-        n = _as_int(self.n, "degree")
-        if self.sigma1.n != n or self.sigma2.n != n:
+    def __init__(self, n, sigma1, sigma2):
+        n = _as_int(n, "degree")
+        if sigma1.n != n or sigma2.n != n:
             raise DomainError(
-                f"permutation degrees {self.sigma1.n}, {self.sigma2.n} "
-                f"do not match n={n}"
+                f"permutation degrees {sigma1.n}, {sigma2.n} do not match n={n}"
             )
-        object.__setattr__(self, "n", n)
+        _set_n(self, n)
+        _set_sigma1(self, sigma1)
+        _set_sigma2(self, sigma2)
         # depth-first orbit of 1, the two generators unrolled (a loop over the
         # pair is slower); images are 1-based, so seen[0] stays unused
-        img1, img2 = self.sigma1.images, self.sigma2.images
+        img1, img2 = sigma1.images, sigma2.images
         seen = [False] * (n + 1)
         seen[1] = True
         stack = [1]
@@ -206,7 +208,7 @@ class MonodromyRep:
                 seen[q] = True
                 reached += 1
                 stack.append(q)
-        object.__setattr__(self, "_transitive", reached == n)
+        _set_transitive(self, reached == n)
 
     def canonical_form(self):
         """A relabeling-invariant form of the pair, built once.
@@ -215,8 +217,10 @@ class MonodromyRep:
         of its points in turn, and its form is the least of the resulting
         image-tuple pairs; the rep's form is the sorted tuple of those.
         """
-        if self._canonical is not None:
+        try:
             return self._canonical
+        except AttributeError:
+            pass
         img1, img2 = self.sigma1.images, self.sigma2.images
         placed = [False] * (self.n + 1)
         forms = []
@@ -230,6 +234,13 @@ class MonodromyRep:
         form = tuple(sorted(forms))
         object.__setattr__(self, "_canonical", form)
         return form
+
+
+# The slots' own setters: criterion 9 builds 15,187 reps, and these are
+# cheaper than object.__setattr__ by about a tenth of each construction.
+_set_n, _set_sigma1, _set_sigma2, _set_transitive = (
+    getattr(MonodromyRep, name).__set__ for name in ("n", "sigma1", "sigma2", "_transitive")
+)
 
 
 def _relabeled(img1, img2, start):
@@ -318,10 +329,11 @@ def chebyshev_monodromy(n):
     return MonodromyRep(n, Permutation(tuple(img1)), Permutation(tuple(img2)))
 
 
-@dataclass(frozen=True)
-class DessinStats:
-    vertices: int
-    edges: int
+class DessinStats(Value):
+    __slots__ = _fields = ("vertices", "edges")
+
+    def __init__(self, vertices, edges):
+        self._assign(vertices, edges)
 
 
 def dessin_stats(rep):

@@ -13,7 +13,6 @@ form) for cross-validation; in double precision they come from the factors.
 """
 
 import cmath
-import json
 import math
 from functools import cached_property
 
@@ -427,6 +426,10 @@ def critical_values(cb):
     if cb.n < 2:
         raise NoCriticalValues("f(z) = z has no critical point in the disk")
     ref = sqrt_k(cb.nctx)
+    if ref == 0.0:
+        raise PrecisionError(
+            f"sqrt(k(n tau)) underflows to 0 at n={cb.n}, Im(tau)={cb.tau.value.imag}"
+        )
     values = {}
     for j in range(1, cb.n):
         v = j * math.pi / cb.n
@@ -510,6 +513,8 @@ def deserialize(record):
     serialize writes; DomainError when its values are not a product build
     could make (S must be e_j(b) exactly, as floats round-trip exactly).
     """
+    import json  # only this function reads JSON
+
     try:
         data = json.loads(record)
     except (TypeError, ValueError) as exc:

@@ -27,8 +27,8 @@ at about half the cost; every other (v, tau) takes the complex loop.
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
@@ -41,8 +41,7 @@ REL_TOL = 1e-15
 MAX_INDEX = 64
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(Value):
     """A point tau in the open upper half plane.
 
     Construction rejects Im(tau) <= 0 and non-finite tau.  Points with
@@ -52,10 +51,10 @@ class UpperHalfPoint:
     error, computed at such a point.
     """
 
-    value: complex
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        v = complex(self.value)
+    def __init__(self, value):
+        v = complex(value)
         if not v.imag > 0:
             raise DomainError(f"tau must satisfy Im(tau) > 0, got {v}")
         if not cmath.isfinite(v):

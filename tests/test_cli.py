@@ -207,8 +207,13 @@ def test_axis_only_commands_refuse_complex_tau(argv, capsys):
         ("monodromy", "analyze", "--sigma1", "2 1 ++3", "--sigma2", "()"),
         ("monodromy", "analyze", "--sigma1", "(1 ²)", "--sigma2", "()"),
         ("monodromy", "analyze", "--sigma1", "2 1 ³", "--sigma2", "()"),
+        # a point beyond int()'s digit limit
+        ("monodromy", "analyze", "--sigma1", "(" + "1" * 5000 + ")", "--sigma2", "()"),
+        # the cusp: sqrt(k(n tau)) underflows to exactly 0
+        ("modulus", "dessin-size", "--n", "40", "--tau-im", "12"),
+        ("cb", "critical", "--n", "40", "--tau-im", "12"),
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(a if len(a) < 20 else f"<{len(a)} chars>" for a in argv),
 )
 def test_numeric_edge_inputs_exit_two_with_one_document(argv):
     code, out, err = invoke(*argv)
@@ -313,30 +318,34 @@ def test_cli_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
-def test_cli_import_leaves_mpmath_out():
-    code, out, err = run_python(
-        "-c", "import sys, chebdisk.cli; print('mpmath' in sys.modules)"
+# Loaded by no subcommand below: the mpmath oracles, the exact-arithmetic
+# modules, the acceptance criteria and dataclasses.
+_NEVER_LOADED = ("mpmath", "fractions", "decimal", "chebdisk.acceptance", "dataclasses")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("theta", "--j", "3", "--tau-im", "0.5"),
+         ("chebdisk.products", "chebdisk.monodromy", "chebdisk.modulus",
+          "chebdisk._mpkernel", "json")),
+        (("monodromy", "analyze", "--sigma1", "(1 2)", "--sigma2", "(2 3)"),
+         ("chebdisk.products",)),
+        (("modulus", "annulus", "--r", "0.5"), ("chebdisk.products",)),
+        (("cb", "build", "--n", "5", "--tau-im", "0.75"), ("chebdisk.monodromy",)),
+    ],
+    ids=["theta", "monodromy analyze", "modulus annulus", "cb build"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, unloaded):
+    probe = (
+        "import sys; from chebdisk import cli; code = cli.main(sys.argv[1:]);"
+        " print(); print(' '.join(sorted(sys.modules))); sys.exit(code)"
     )
+    code, out, err = run_python("-c", probe, *argv)
     assert code == 0, err
-    assert out.strip() == "False"
-
-
-def test_cli_import_leaves_fractions_out():
-    code, out, err = run_python(
-        "-c",
-        "import sys, chebdisk.cli;"
-        " print('fractions' in sys.modules, 'decimal' in sys.modules)",
-    )
-    assert code == 0, err
-    assert out.strip() == "False False"
-
-
-def test_cli_import_leaves_acceptance_out():
-    code, out, err = run_python(
-        "-c", "import sys, chebdisk.cli; print('chebdisk.acceptance' in sys.modules)"
-    )
-    assert code == 0, err
-    assert out.strip() == "False"
+    loaded = set(out.splitlines()[-1].split())
+    assert "chebdisk.cli" in loaded
+    assert loaded.isdisjoint(_NEVER_LOADED + unloaded)
 
 
 def test_monodromy_commands():
