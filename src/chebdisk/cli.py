@@ -4,7 +4,7 @@ One invocation writes one structured document (JSON by default, CSV with
 --format csv) to stdout; diagnostics go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 for input/domain/precision problems.  Output is
 byte-identical across repeated invocations: fixed seeds, fixed key order,
-floats at 17 significant digits.
+floats at 17 significant digits.  `run` returns the text `main` writes.
 
 Each handler imports the library modules it calls, so that one invocation
 loads only what its subcommand runs; the parser needs just landen's catalog.
@@ -15,7 +15,7 @@ import cmath
 import sys
 
 from . import landen
-from .errors import ChebdiskError, DomainError, ParseError, PrecisionError
+from .errors import ChebdiskError, ParseError, PrecisionError
 from .jsonio import flatten_for_csv, render_csv, render_json
 from .theta import UpperHalfPoint, theta
 
@@ -25,11 +25,11 @@ _EXIT_INPUT = 2
 
 
 class CommandResult:
-    def __init__(self, status, payload, exit_code, fmt):
+    def __init__(self, status, payload, exit_code, document):
         self.status = status
         self.payload = payload
         self.exit_code = exit_code
-        self.fmt = fmt
+        self.document = document
 
 
 def parse_complex(text):
@@ -164,11 +164,10 @@ def _cmd_cb_derivs(args, cb):
 
 def _cmd_cb_critical(args, cb):
     from . import products
-    from .elliptic import sqrt_k
 
     return {
         "values": list(products.critical_values(cb)),
-        "sqrt_k_ntau": sqrt_k(cb.nctx).real,
+        "sqrt_k_ntau": cb.sqrt_k_ntau(),
     }
 
 
@@ -317,10 +316,13 @@ def _cmd_verify_all(args):
 
 def _command(group, name, handler, takes=None, **kwargs):
     """Subcommand `name` run as handler(args), or with tau (takes="tau") or the
-    degree-n product (takes="cb") as well; either of the last two adds --tau-im."""
+    degree-n product (takes="cb") as well; either of the last two adds --tau-im,
+    and "cb" adds the degree --n."""
     p = group.add_parser(name, **kwargs)
     if takes:
         p.add_argument("--tau-im", type=float, help="Im(tau) for tau on the imaginary axis")
+    if takes == "cb":
+        p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=handler, takes=takes)
     return p
 
@@ -356,8 +358,8 @@ def build_parser():
         ("compose", _cmd_cb_compose),
     ):
         p = _command(cb, name, handler, "tau" if name == "compose" else "cb")
-        p.add_argument("--n", type=int, required=True)
         if name == "compose":
+            p.add_argument("--n", type=int, required=True)
             p.add_argument("--m", type=int, required=True)
         if name == "eval":
             p.add_argument("--z", required=True, help="evaluation point re,im")
@@ -390,8 +392,7 @@ def build_parser():
     p = _command(mod, "geodesic", _cmd_modulus_geodesic)
     p.add_argument("--a", required=True, help="endpoint re,im")
     p.add_argument("--b", required=True, help="endpoint re,im")
-    p = _command(mod, "dessin-size", _cmd_modulus_dessin_size, "cb")
-    p.add_argument("--n", type=int, required=True)
+    _command(mod, "dessin-size", _cmd_modulus_dessin_size, "cb")
 
     lan = sub.add_parser("landen", help="Landen-type identity checks").add_subparsers(
         dest="landen_command", required=True
@@ -409,12 +410,24 @@ def build_parser():
     return parser
 
 
+def _document(status, payload, fmt, tau):
+    """The text one invocation writes: status and payload as JSON or CSV.
+    A payload computed at a degraded tau ends with "degraded": true."""
+    if tau is not None and tau.degraded:
+        payload["degraded"] = True
+    if fmt == "csv":
+        header, rows = flatten_for_csv(payload)
+        return render_csv(["status"] + list(header), [[status] + row for row in rows])
+    return render_json({"status": status, "payload": payload}) + "\n"
+
+
 def run(argv):
-    """Execute one invocation; returns a CommandResult without printing.
+    """Execute one invocation; returns a CommandResult holding its document.
 
     The only place that reads tau, builds the product (whose commands' payloads
-    start with "n", "tau_im") and sets status and exit code.  Every payload at
-    a degraded tau, ok or error, ends with "degraded": true.
+    start with "n", "tau_im"), sets status and exit code and renders.  A
+    payload that cannot be rendered (NaN or an infinity) becomes a
+    domain_error document like any other typed error.
     """
     args = build_parser().parse_args(argv)
     tau = None
@@ -433,6 +446,7 @@ def run(argv):
         payload, passed = out if isinstance(out, tuple) else (out, True)
         status = "ok" if passed else "verification_failure"
         exit_code = _EXIT_OK if passed else _EXIT_VERIFY
+        document = _document(status, payload, args.format, tau)
     except ChebdiskError as exc:
         payload, exit_code = {"error": str(exc)}, _EXIT_INPUT
         status = (
@@ -440,29 +454,13 @@ def run(argv):
             else "precision_error" if isinstance(exc, PrecisionError)
             else "domain_error"
         )
-    if tau is not None and tau.degraded:
-        payload["degraded"] = True
-    return CommandResult(status, payload, exit_code, args.format)
-
-
-def render(result, fmt):
-    document = {"status": result.status, "payload": result.payload}
-    if fmt == "csv":
-        header, rows = flatten_for_csv(result.payload)
-        return render_csv(["status"] + list(header), [[result.status] + row for row in rows])
-    return render_json(document) + "\n"
+        document = _document(status, payload, args.format, tau)
+    return CommandResult(status, payload, exit_code, document)
 
 
 def main(argv=None):
     result = run(sys.argv[1:] if argv is None else argv)
-    try:
-        document = render(result, result.fmt)
-    except DomainError as exc:
-        # a payload holding NaN or an infinity has no document of its own
-        payload = {"error": str(exc)}
-        result = CommandResult("domain_error", payload, _EXIT_INPUT, result.fmt)
-        document = render(result, result.fmt)
-    sys.stdout.write(document)
+    sys.stdout.write(result.document)
     return result.exit_code
 
 

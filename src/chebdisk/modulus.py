@@ -96,15 +96,9 @@ def dessin_size(cb):
     """
     if cb.n < 2:
         raise DomainError("dessin size is defined for n >= 2")
-    nctx = cb.nctx
-    t0, t2, t3 = nctx.theta0_null.real, nctx.theta2_null.real, nctx.theta3_null.real
-    sk = t2 / t3
-    if sk == 0.0:
-        raise PrecisionError(
-            f"sqrt(k(n tau)) underflows to 0 at n={cb.n}, Im(tau)={cb.tau.value.imag}"
-        )
+    sk = cb.sqrt_k_ntau()
     k = sk * sk
-    k_comp = (t0 / t3) ** 2
+    k_comp = (cb.nctx.theta0_null.real / cb.nctx.theta3_null.real) ** 2
     # The geodesic between +-sqrt(k) moves to a radial slit of length
     # 2 sqrt(k)/(1+k); its complementary length (1-k)/(1+k) is taken as
     # k'^2/(1+k)^2, which does not cancel as k -> 1.

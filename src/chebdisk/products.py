@@ -77,6 +77,16 @@ class ChebyshevBlaschke:
     def nctx(self):
         return EllipticContext(self.tau.scaled(self.n))
 
+    def sqrt_k_ntau(self):
+        """sqrt(k(n tau)) = theta2(0, n tau)/theta3(0, n tau) as a float;
+        PrecisionError where it underflows to 0, towards the cusp."""
+        sk = self.nctx.theta2_null.real / self.nctx.theta3_null.real
+        if sk == 0.0:
+            raise PrecisionError(
+                f"sqrt(k(n tau)) underflows to 0 at n={self.n}, Im(tau)={self.tau.value.imag}"
+            )
+        return sk
+
 
 def elementary_symmetric(values):
     """All elementary symmetric polynomials e_1..e_m of the given values;
@@ -134,6 +144,8 @@ def eval_product(cb, z):
         if abs(den) < 1e-14 * (1.0 + abs(bi * zz)):
             raise PoleError(f"denominator factor 1 - b z^2 vanished at z={z}")
         val *= (zz - bi) / den
+    if not cmath.isfinite(val):
+        raise PrecisionError(f"factored form overflows double range at z={z}")
     return val
 
 
@@ -164,10 +176,14 @@ def eval_expanded(cb, z):
     dv = 0j
     for c in reversed(den):
         dv = dv * zz + c
-    if abs(dv) < 1e-14 * (1.0 + abs(nv)):
+    # an nv that overflowed is no pole: the check on the value names it
+    if abs(dv) < 1e-14 * (1.0 + abs(nv)) < math.inf:
         raise PoleError(f"expanded denominator vanished at z={z}")
     head = z ** cb.parity if cb.parity else 1.0 + 0j
-    return head * nv / dv
+    val = head * nv / dv
+    if not cmath.isfinite(val):
+        raise PrecisionError(f"expanded form overflows double range at z={z}")
+    return val
 
 
 def chebyshev_poly(n, x):
@@ -185,7 +201,7 @@ def elliptic_rational(cb, z):
     w = sqrt_k(cb.ctx) * complex(z)
     if abs(w) > 1.0 + 1e-12:
         raise DomainError(f"sqrt(k) z = {w} lies outside the closed unit disk")
-    return eval_product(cb, w) / sqrt_k(cb.nctx)
+    return eval_product(cb, w) / cb.sqrt_k_ntau()
 
 
 def modulus_lambda(cb):
@@ -425,11 +441,7 @@ def critical_values(cb):
     """
     if cb.n < 2:
         raise NoCriticalValues("f(z) = z has no critical point in the disk")
-    ref = sqrt_k(cb.nctx)
-    if ref == 0.0:
-        raise PrecisionError(
-            f"sqrt(k(n tau)) underflows to 0 at n={cb.n}, Im(tau)={cb.tau.value.imag}"
-        )
+    ref = complex(cb.sqrt_k_ntau())
     values = {}
     for j in range(1, cb.n):
         v = j * math.pi / cb.n

@@ -38,11 +38,12 @@ def oracle_theta(j, v, tau, dps=30):
 
 def run_python(*argv):
     """Run a child interpreter on argv with this checkout's src/ first on its
-    PYTHONPATH; returns (exit code, stdout, stderr)."""
+    PYTHONPATH; returns (exit code, stdout, stderr), decoded from UTF-8 with
+    line endings as written (a CSV document keeps its CR LF)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 def rel_err(value, reference):

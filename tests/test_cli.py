@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -160,6 +161,22 @@ def test_degraded_ends_every_payload_below_floor(argv, tau_im, status):
     assert list(result.payload)[-1] == "degraded"
     assert result.payload["degraded"] is True
     assert "degraded" not in run_cli(*argv, "--tau-im", "0.05").payload
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unrenderable_payload_keeps_degraded_flag(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(products, "eval_product", lambda cb, z: complex(math.nan, 0.0))
+    argv = ["--format", fmt, "cb", "eval", "--n", "3", "--tau-im", "0.04", "--z", "0.5,0"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    error = "non-finite float nan cannot be serialized"
+    if fmt == "json":
+        assert out == (
+            '{"status": "domain_error", "payload": {"error": "' + error
+            + '", "degraded": true}}\n'
+        )
+    else:
+        assert out == f"status,error,degraded\r\ndomain_error,{error},true\r\n"
 
 
 AXIS_ONLY_COMMANDS = [

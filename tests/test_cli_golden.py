@@ -1,9 +1,11 @@
 """Golden CLI documents: every listed command renders byte-identically.
 
 ``cli_golden.json`` holds, for each argv, the exact text of
-``cli.render(cli.run(argv), fmt)``: the 20 README commands, two error
-documents, the wider product commands and the CSV catalog.  A change that
-alters any digit of any of them fails here.  The file was recorded with
+``cli.run(argv).document``, which is what ``cli.main`` writes to stdout:
+the 20 README commands, two error documents, the wider product commands and
+the CSV catalog.  A change that alters any digit of any of them fails here,
+and a few entries are also checked against a ``python -m chebdisk.cli``
+process.  The file was recorded with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -18,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from chebdisk import cli
+
+from helpers import run_python
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "cli_golden.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,8 +65,7 @@ COMMANDS = README_COMMANDS + (
 
 
 def _render(argv):
-    result = cli.run(list(argv))
-    return cli.render(result, result.fmt)
+    return cli.run(list(argv)).document
 
 
 def _load():
@@ -89,6 +92,17 @@ def test_readme_cli_block_is_the_golden_readme_section():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_output_matches_golden(argv):
     assert _render(argv) == _load()[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [README_COMMANDS[0], ("--format", "csv", "landen", "all"),
+     ("theta", "--j", "3", "--tau-im", "0.001")],
+    ids=" ".join,
+)
+def test_process_stdout_matches_golden(argv):
+    _, out, _ = run_python("-m", "chebdisk.cli", *argv)
+    assert out == _load()[argv]
 
 
 if __name__ == "__main__":

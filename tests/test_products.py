@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebdisk import elliptic, products
+from chebdisk import elliptic, modulus, products
 from chebdisk.elliptic import EllipticContext, sqrt_k
 from chebdisk.errors import DomainError, NoCriticalValues, ParseError, PrecisionError
 from chebdisk.theta import UpperHalfPoint, theta
@@ -503,6 +503,44 @@ def test_interior_contraction_and_agreement(n, y, z):
 def test_eval_rejects_non_finite_z(evaluate, z, n):
     with pytest.raises(DomainError, match="z must be finite"):
         evaluate(products.build(n, uhp(1.0)), z)
+
+
+@pytest.mark.parametrize(
+    "n, y, z, evaluate, form",
+    [
+        # Horner's sums overflow; at (40, 2i) that read as a vanished denominator
+        (40, 0.5, 1e10, products.eval_expanded, "expanded"),
+        (40, 2.0, 1e8, products.eval_expanded, "expanded"),
+        # z^p * nv overflows although nv does not
+        (3, 1.0, 1e120, products.eval_expanded, "expanded"),
+        # z*z overflows
+        (40, 0.5, 1.4e154, products.eval_product, "factored"),
+        (40, 0.5, complex(1e200, 1e200), products.eval_product, "factored"),
+        (3, 1.0, 1e300, products.eval_product, "factored"),
+    ],
+)
+def test_eval_overflow_is_precision_error(n, y, z, evaluate, form):
+    with pytest.raises(PrecisionError, match=f"^{form} form overflows double range at z="):
+        evaluate(products.build(n, uhp(y)), z)
+
+
+def test_eval_product_below_overflow_is_finite():
+    cb = products.build(40, uhp(0.5))
+    assert cmath.isfinite(products.eval_product(cb, 1e154))
+    assert cmath.isfinite(products.eval_product(products.build(3, uhp(1.0)), 1e120))
+
+
+def test_sqrt_k_ntau_is_the_one_cusp_rule():
+    message = r"^sqrt\(k\(n tau\)\) underflows to 0 at n=40, Im\(tau\)=12.0$"
+    cb = products.build(40, uhp(12.0))
+    # elliptic_rational divided by the zero: ZeroDivisionError
+    for call in (cb.sqrt_k_ntau, lambda: products.critical_values(cb),
+                 lambda: modulus.dessin_size(cb), lambda: products.elliptic_rational(cb, 0.5)):
+        with pytest.raises(PrecisionError, match=message):
+            call()
+    # subnormal, not zero: the golden dessin-size cell
+    cb = products.build(40, uhp(11.5))
+    assert cb.sqrt_k_ntau() == sqrt_k(cb.nctx).real > 0.0
 
 
 def test_eval_expanded_degree_one_is_identity():
